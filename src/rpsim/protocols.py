@@ -9,21 +9,25 @@ over a 1001-point grid is far too slow gate by gate in Python, so the
 statevector path composes the closed-form per-term unitaries
 U_k = cos(h) I - i sin(h) P_k (h = c dt / hbar), which is exactly the
 matrix of the compiled rotation sequence, batched over the time grid.
-The noisy path composes per-gate superoperators of the lowered circuit
-(depolarizing channels folded in) the same way. Both are pinned to the
-per-gate simulators by equivalence tests.
+The noisy path takes its Trotter step from `lower_to_basis`, so it runs
+exactly the circuit (and pruning) that the gate-by-gate simulator runs:
+each run of constant gates (basis changes, CNOTs, zero-angle cores) is
+composed once into one superoperator with its depolarizing channels
+folded in, and only the dt-scaled rotations are built per time point.
+Both paths are pinned to the per-gate simulators by equivalence tests.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import product as _product
 
 import numpy as np
 
 from . import qsim
 from .circuit import compile as compile_circuit
-from .circuit import lower_to_basis, measurement_basis_change, trotter_step
+from .circuit import lower_to_basis
 from .observables import YieldCurve, singlet_yield
 from .paulis import embedded_pauli, pauli_string_matrix
 from .refsolver import (
@@ -172,7 +176,9 @@ def _unitary_superop(U_full: np.ndarray) -> np.ndarray:
     return np.kron(U_full, U_full.conj())
 
 
-def _depol_superop(qubits, p: float, n: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _depol_superop(qubits: tuple, p: float, n: int) -> np.ndarray:
+    """Superoperator of qsim.depolarize, probed one basis matrix at a time."""
     d = 2**n
     S = np.empty((d * d, d * d), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)
@@ -180,147 +186,72 @@ def _depol_superop(qubits, p: float, n: int) -> np.ndarray:
         basis[:] = 0
         basis[j // d, j % d] = 1
         S[:, j] = qsim.depolarize(basis, list(qubits), p, n).reshape(-1)
+    S.flags.writeable = False  # shared by every caller through the cache
     return S
 
 
-class _StepTemplate:
-    """Lowered Trotter step as constant superoperator blocks plus
-    delta_t-scaled rotations, mirroring the canonical lowering."""
+def _segment_superop(gates, noise, n: int, scaled=None) -> np.ndarray:
+    """Superoperator of a fixed gate list with per-gate depolarizing.
 
-    def __init__(self, system: RadicalPairSystem, noise, prune_zeeman_zero=True, prune_all_zero=False):
-        n = system.n_sites
-        d = 2**n
-        self.n_sites = n
-        self.dim = d
-        noisy = noise is not None and noise.enabled
-        p1 = noise.p_depol_1q if noisy else 0.0
-        p2 = noise.p_depol_2q if noisy else 0.0
-        depol_cache: dict = {}
-
-        def depol(qubits, p):
-            key = (tuple(qubits), p)
-            if key not in depol_cache:
-                depol_cache[key] = (
-                    np.eye(d * d, dtype=complex)
-                    if p == 0.0
-                    else _depol_superop(qubits, p, n)
-                )
-            return depol_cache[key]
-
-        def gate_so(kind, qubits, angle=None, letters=None):
-            from .circuit import Gate
-
-            U = qsim.gate_matrix(Gate(kind, tuple(qubits), angle, letters))
-            return _unitary_superop(_full_unitary(U, qubits, n))
-
-        # ops: ("const", S) applied as S_tot <- S @ S_tot (token carries a
-        # ready superop), ("rz", q, rate) and ("rot", axis, q, rate) are
-        # built per delta_t batch. Each scaled op's depolarizing channel is
-        # folded into the const block that follows it.
-        ops: list = []
-        const = np.eye(d * d, dtype=complex)
-
-        def push_const(S):
-            nonlocal const
-            const = S @ const
-
-        def flush():
-            nonlocal const
-            ops.append(("const", const))
-            const = np.eye(d * d, dtype=complex)
-
-        # angle per unit delta_t: trotter_step at delta_t = 1
-        rate_gates = trotter_step(build_pauli_terms(system), 1.0, system.hbar)
-        for gate in rate_gates:
-            if gate.kind in ("RX", "RY", "RZ"):
-                if gate.angle == 0.0 and (prune_zeeman_zero or prune_all_zero):
-                    continue
-                q = gate.qubits[0]
-                flush()
-                if gate.kind == "RZ":
-                    ops.append(("rz", q, gate.angle))
-                else:
-                    ops.append(("rot", gate.kind[1], q, gate.angle))
-                push_const(depol((q,), p1))
-            elif gate.kind == "PauliRot2":
-                if gate.angle == 0.0 and prune_all_zero:
-                    continue
-                q0, q1 = gate.qubits
-                before, after = [], []
-                for letter, q in zip(gate.letters, gate.qubits):
-                    if letter == "X":
-                        before.append(("H", (q,), None))
-                        after.append(("H", (q,), None))
-                    elif letter == "Y":
-                        before.append(("RX", (q,), np.pi / 2))
-                        after.append(("RX", (q,), -np.pi / 2))
-                for kind, qubits, angle in before:
-                    push_const(depol(qubits, p1) @ gate_so(kind, qubits, angle))
-                push_const(depol((q0, q1), p2) @ gate_so("CNOT", (q0, q1)))
-                flush()
-                ops.append(("rz", q1, gate.angle))
-                push_const(depol((q1,), p1))
-                push_const(depol((q0, q1), p2) @ gate_so("CNOT", (q0, q1)))
-                for kind, qubits, angle in after:
-                    push_const(depol(qubits, p1) @ gate_so(kind, qubits, angle))
-            else:
-                raise ValueError(f"unexpected gate in Trotter step: {gate.kind}")
-        flush()
-        self.ops = ops
-        self._z_signs = {}
-        self._paulis = {}
-        for op in ops:
-            if op[0] == "rz":
-                q = op[1]
-                if q not in self._z_signs:
-                    bits = (np.arange(d) >> (n - 1 - q)) & 1
-                    self._z_signs[q] = 1.0 - 2.0 * bits
-            elif op[0] == "rot":
-                _, axis, q, _ = op
-                self._paulis[(axis, q)] = embedded_pauli(axis, q, n)
-
-    def superops(self, dts: np.ndarray) -> np.ndarray:
-        """Step superoperators batched over step sizes (T, d^2, d^2)."""
-        T = len(dts)
-        d = self.dim
-        eye = np.eye(d, dtype=complex)
-        S = np.broadcast_to(np.eye(d * d, dtype=complex), (T, d * d, d * d)).copy()
-        for op in self.ops:
-            if op[0] == "const":
-                S = op[1] @ S
-            elif op[0] == "rz":
-                _, q, rate = op
-                phi = rate * dts
-                u = np.exp(-0.5j * np.outer(phi, self._z_signs[q]))  # (T, d)
-                diag = (u[:, :, None] * u.conj()[:, None, :]).reshape(T, d * d)
-                S = diag[:, :, None] * S
-            else:
-                _, axis, q, rate = op
-                phi = rate * dts
-                P = self._paulis[(axis, q)]
-                Ufull = (
-                    np.cos(phi / 2)[:, None, None] * eye
-                    - 1j * np.sin(phi / 2)[:, None, None] * P
-                )
-                so = np.einsum("tab,tcd->tacbd", Ufull, Ufull.conj()).reshape(
-                    T, d * d, d * d
-                )
-                S = so @ S
-        return S
-
-
-def _segment_superop(gates, noise, n: int) -> np.ndarray:
-    """Superoperator of a fixed gate list with per-gate depolarizing."""
+    `scaled` is a dt-scaled rotation just before the list: its unitary
+    is applied per step size elsewhere, so only its channel leads here.
+    """
     d = 2**n
-    noisy = noise is not None and noise.enabled
     S = np.eye(d * d, dtype=complex)
-    for gate in gates:
-        S = _unitary_superop(_full_unitary(qsim.gate_matrix(gate), gate.qubits, n)) @ S
-        if noisy:
-            p = noise.p_depol_2q if len(gate.qubits) == 2 else noise.p_depol_1q
-            if p:
-                S = _depol_superop(gate.qubits, p, n) @ S
+    for gate in ([scaled] if scaled is not None else []) + list(gates):
+        if gate is not scaled:
+            U = _full_unitary(qsim.gate_matrix(gate), gate.qubits, n)
+            S = _unitary_superop(U) @ S
+        p = qsim._depol_strength(gate, noise)
+        if p:
+            S = _depol_superop(gate.qubits, p, n) @ S
     return S
+
+
+def _step_plan(lowered_unit, lowered_double, noise, n: int) -> list:
+    """One lowered Trotter step as constant superoperators and scaled gates.
+
+    The step is lowered at dt=1 and dt=2: a gate whose angle differs
+    between the two is a dt-scaled rotation whose angle at dt=1 is its
+    rate; every run of other gates is composed once, noise included.
+    """
+    plan: list = []
+    run: list = []
+    scaled = None
+    for gate, doubled in zip(lowered_unit, lowered_double, strict=True):
+        if gate.angle == doubled.angle:
+            run.append(gate)
+            continue
+        if run or scaled is not None:
+            plan.append(_segment_superop(run, noise, n, scaled))
+        plan.append(gate)
+        run, scaled = [], gate
+    if run or scaled is not None:
+        plan.append(_segment_superop(run, noise, n, scaled))
+    return plan
+
+
+def _apply_scaled_rotation(S: np.ndarray, gate, dts: np.ndarray, n: int) -> np.ndarray:
+    """Left-multiply the rotation at angle rate*dt onto each S[t].
+
+    RZ acts as a diagonal superoperator; RX and RY as a batched matmul.
+    """
+    T = len(dts)
+    d = 2**n
+    q = gate.qubits[0]
+    phi = gate.angle * dts
+    if gate.kind == "RZ":
+        signs = 1.0 - 2.0 * ((np.arange(d) >> (n - 1 - q)) & 1)
+        u = np.exp(-0.5j * np.outer(phi, signs))  # (T, d)
+        diag = (u[:, :, None] * u.conj()[:, None, :]).reshape(T, d * d)
+        return diag[:, :, None] * S
+    P = embedded_pauli(gate.kind[1], q, n)
+    U = (
+        np.cos(phi / 2)[:, None, None] * np.eye(d, dtype=complex)
+        - 1j * np.sin(phi / 2)[:, None, None] * P
+    )
+    so = np.einsum("tab,tcd->tacbd", U, U.conj()).reshape(T, d * d, d * d)
+    return so @ S
 
 
 def _initial_density_vec(system: RadicalPairSystem, nuclear: str) -> np.ndarray:
@@ -373,18 +304,32 @@ def trotter_trace_density(
         raise ValueError("n must be >= 1")
     times = time_grid(t_max, dt, k=system.k_singlet, tail=tail)
     n_sites = system.n_sites
-    template = _StepTemplate(system, noise, prune_zeeman_zero, prune_all_zero)
-    from .circuit import prepare_singlet
 
-    prep = _segment_superop(prepare_singlet(), noise, n_sites)
-    tail_so = _segment_superop(measurement_basis_change(), noise, n_sites)
-    v0 = prep @ _initial_density_vec(system, nuclear)
+    def lowered(t: float, steps: int):
+        circuit = compile_circuit(system, t, steps)
+        return lower_to_basis(circuit, prune_zeeman_zero, prune_all_zero)
+
+    unit = lowered(1.0, 1)
+    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites)
+    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
+    tail_so = _segment_superop(
+        unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites
+    )
+    rho_init = _initial_density_vec(system, nuclear)
+    v0 = prep @ rho_init
     meas = _measurement_vec(n_sites)
     # Tr[M rho'] with vec(rho') = Tail vec(rho) equals (Tail^T m) . vec(rho)
     meas_after_tail = tail_so.T @ meas
 
-    steps = template.superops(times[1:] / n)
-    v = np.broadcast_to(v0, (len(times) - 1, v0.size)).copy()
+    dts = times[1:] / n
+    d2 = 4**n_sites
+    steps = np.broadcast_to(np.eye(d2, dtype=complex), (len(dts), d2, d2)).copy()
+    for item in plan:
+        if isinstance(item, np.ndarray):
+            steps = item @ steps
+        else:
+            steps = _apply_scaled_rotation(steps, item, dts, n_sites)
+    v = np.broadcast_to(v0, (len(dts), v0.size)).copy()
     if n <= 64:
         for _ in range(n):
             v = np.einsum("tij,tj->ti", steps, v)
@@ -394,26 +339,14 @@ def trotter_trace_density(
     pops[1:] = np.einsum("i,ti->t", meas_after_tail, v).real
 
     # zero-time circuit, executed gate by gate through the simulator
-    zero = lower_to_basis(
-        compile_circuit(system, 0.0, n),
-        prune_zeeman_zero=prune_zeeman_zero,
-        prune_all_zero=prune_all_zero,
-    )
-    rho0 = QuantumState(
-        "density",
-        _initial_density_vec(system, nuclear).reshape(2**n_sites, 2**n_sites),
-        n_sites,
-    )
-    final0 = qsim.run_density(zero, rho0, noise)
+    rho0 = QuantumState("density", rho_init.reshape(2**n_sites, 2**n_sites), n_sites)
+    final0 = qsim.run_density(lowered(0.0, n), rho0, noise)
     pops[0] = np.einsum("i,i->", meas, final0.data.reshape(-1)).real
     return PopulationTrace(times, pops, decayed=False)
 
 
 # ---------------------------------------------------------------------------
 # yield curves and sweeps
-
-MODES = ("reference", "statevector", "density")
-
 
 def _symmetric_rate(system: RadicalPairSystem) -> float:
     if system.k_singlet != system.k_triplet:

@@ -158,6 +158,14 @@ def depolarize(rho: np.ndarray, qubits: Sequence[int], p: float, n_qubits: int) 
     return ((1 - p) * tensor + p * replaced).reshape(rho.shape)
 
 
+def _depol_strength(gate: Gate, noise: NoiseProfile | None) -> float:
+    """Depolarizing strength after one gate: p_depol_2q on two qubits,
+    p_depol_1q on one, and 0 when noise is absent or disabled."""
+    if noise is None or not noise.enabled:
+        return 0.0
+    return noise.p_depol_2q if len(gate.qubits) == 2 else noise.p_depol_1q
+
+
 def run_statevector(
     circuit: Circuit,
     initial: QuantumState,
@@ -217,12 +225,11 @@ def run_density(
             f"state has {initial.n_sites} sites, circuit {circuit.n_qubits} qubits"
         )
     n = circuit.n_qubits
-    noisy = noise is not None and noise.enabled
     rho = initial.data.copy()
     for gate in circuit.gates:
         rho = apply_gate_density(rho, gate, n)
-        if noisy:
-            p = noise.p_depol_2q if len(gate.qubits) == 2 else noise.p_depol_1q
+        p = _depol_strength(gate, noise)
+        if p:
             rho = depolarize(rho, list(gate.qubits), p, n)
     return QuantumState("density", rho, n)
 

@@ -113,6 +113,7 @@ def test_flags_beat_overrides():
     [
         ("dt_us=0", "dt_us"),
         ("dt_us=-1", "dt_us"),
+        ("dt_us=0.3", "dt_us"),
         ("t_max_us=0.0005", "t_max_us"),
         ("mode=sideways", "mode"),
         ("nuclear=both", "nuclear"),

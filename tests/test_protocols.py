@@ -72,11 +72,31 @@ def test_statevector_lowered_circuit_agrees(prototype):
 def test_density_fast_path_matches_per_gate(prototype):
     """Noisy superoperator engine is pinned to gate-by-gate density runs."""
     noise = rp.NoiseProfile()
-    for theta, t, n in [(np.pi / 2, 0.5, 2), (0.0, 1.0, 3), (1.7, 0.2, 5)]:
-        sys_t = prototype.with_angles(theta)
-        trace = rp.trotter_trace_density(sys_t, n, noise, "mixed", t_max=t, dt=t)
-        low = rp.lower_to_basis(rp.compile(sys_t, t, n))
-        rho0 = QuantumState("density", _initial_density_vec(sys_t, "mixed").reshape(8, 8), 3)
+    two_nuclei = rp.prototype_system(
+        nuclei=((0, np.diag([5.0, 5.0, 10.0])), (1, np.diag([2.5, 2.5, 5.0])))
+    )
+    cases = [
+        (prototype, np.pi / 2, 0.5, 2, True, False),
+        (prototype, 0.0, 1.0, 3, True, False),
+        (prototype, 1.7, 0.2, 5, True, False),
+        (prototype, np.pi, 0.4, 3, True, False),
+        (two_nuclei, 0.0, 0.3, 2, True, False),
+        (two_nuclei, np.pi, 0.3, 2, True, False),
+        (two_nuclei, 1.1, 0.3, 2, True, False),
+    ]
+    for theta in (0.0, np.pi / 2, np.pi):
+        for prune_zeeman_zero in (False, True):
+            for prune_all_zero in (False, True):
+                cases.append((prototype, theta, 0.6, 3, prune_zeeman_zero, prune_all_zero))
+    for system, theta, t, n, prune_zeeman_zero, prune_all_zero in cases:
+        sys_t = system.with_angles(theta)
+        prune = dict(prune_zeeman_zero=prune_zeeman_zero, prune_all_zero=prune_all_zero)
+        trace = rp.trotter_trace_density(sys_t, n, noise, "mixed", t_max=t, dt=t, **prune)
+        low = rp.lower_to_basis(rp.compile(sys_t, t, n), **prune)
+        d = 2**sys_t.n_sites
+        rho0 = QuantumState(
+            "density", _initial_density_vec(sys_t, "mixed").reshape(d, d), sys_t.n_sites
+        )
         final = qsim.run_density(low, rho0, noise)
         probs = qsim.electron_outcome_probabilities(final)
         assert trace.populations[-1] == pytest.approx(probs[0b11], abs=1e-12)
