@@ -126,7 +126,8 @@ def cmd_yield_sweep(cfg: ExperimentConfig) -> int:
     )
     meta = _metadata_common(cfg)
     meta["mode"] = cfg.mode
-    meta["delta_S"] = anisotropy(curve) if len(curve.thetas) > 1 else 0.0
+    delta = anisotropy(curve) if len(curve.thetas) > 1 else 0.0
+    meta["delta_S"] = float(_fmt(delta))  # the 9 significant digits of the CSV
     _write_sidecar(path, blob, "yield-sweep", cfg, meta)
     print(path)
     return 0

@@ -317,7 +317,7 @@ def resolve(
         raise ConfigError("tail", f"must be one of {', '.join(TAIL_POLICIES)}")
     if tail == "extend" and system.k_singlet <= 0:
         raise ConfigError("tail", "extension needs k_singlet_MHz > 0")
-    # the same whole-step test as protocols.time_grid, which rounds up
+    # the same whole-step test as protocols.time_grid, reported on the field
     if tail == "none" and not round(t_max / dt, 9).is_integer():
         raise ConfigError(
             "dt_us", f"t_max_us={t_max} is not a whole number of {dt} steps"

@@ -14,6 +14,13 @@ exactly the circuit (and pruning) that the gate-by-gate simulator runs:
 each run of constant gates (basis changes, CNOTs, zero-angle cores) is
 composed once into one superoperator with its depolarizing channels
 folded in, and only the dt-scaled rotations are built per time point.
+One core, `_density_states`, applies that step n times to the (T, d^2)
+batch of vectorised states: a constant superoperator is one matmul over
+the batch, a dt-scaled RZ a diagonal phase, a dt-scaled RX/RY the
+conjugation U_t rho U_t^dag. No (T, d^2, d^2) step superoperator is
+formed, except above 64 steps, where powering it is faster; it is then
+built by pushing the identity through the same step. Density traces and
+`shot_sweep` both read their per-time states from this core.
 Both paths are pinned to the per-gate simulators by equivalence tests.
 """
 
@@ -41,13 +48,16 @@ from .refsolver import (
 from .spinham import RadicalPairSystem, build_pauli_terms, to_dense_matrix
 
 TAIL_EPSILON = 1e-6  # survival threshold for tail="extend"
+IMAG_TOLERANCE = 1e-10  # largest imaginary part a density diagonal may carry
 
 
 def time_grid(t_max: float, dt: float, k: float | None = None, tail: str = "none") -> np.ndarray:
     """Uniform grid [0, t_max] with step dt; optionally extended.
 
+    With tail="none", t_max must be a whole number of dt steps.
     tail="extend" lengthens the grid until exp(-k t) < 1e-6 so the
-    truncated yield integral approximates the infinite-limit value.
+    truncated yield integral approximates the infinite-limit value; its
+    end is rounded up to the next whole step.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -60,6 +70,8 @@ def time_grid(t_max: float, dt: float, k: float | None = None, tail: str = "none
         end = max(t_max, -np.log(TAIL_EPSILON) / k)
     elif tail != "none":
         raise ValueError(f"unknown tail policy {tail!r}")
+    elif not round(t_max / dt, 9).is_integer():
+        raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps")
     n_steps = int(np.ceil(round(end / dt, 9)))
     return np.arange(n_steps + 1) * dt
 
@@ -231,27 +243,50 @@ def _step_plan(lowered_unit, lowered_double, noise, n: int) -> list:
     return plan
 
 
-def _apply_scaled_rotation(S: np.ndarray, gate, dts: np.ndarray, n: int) -> np.ndarray:
-    """Left-multiply the rotation at angle rate*dt onto each S[t].
+def _step_operators(plan, dts: np.ndarray, n: int) -> list:
+    """The step plan at every step size, as operators on vectorised states.
 
-    RZ acts as a diagonal superoperator; RX and RY as a batched matmul.
+    A constant superoperator S acts on all rows at once (as S^T on row
+    vectors); a dt-scaled RZ is a (T, 1, d^2) phase; a dt-scaled RX/RY is
+    the (T, 1, d, d) unitary pair (U_t, U_t^dag).
     """
     T = len(dts)
     d = 2**n
-    q = gate.qubits[0]
-    phi = gate.angle * dts
-    if gate.kind == "RZ":
-        signs = 1.0 - 2.0 * ((np.arange(d) >> (n - 1 - q)) & 1)
-        u = np.exp(-0.5j * np.outer(phi, signs))  # (T, d)
-        diag = (u[:, :, None] * u.conj()[:, None, :]).reshape(T, d * d)
-        return diag[:, :, None] * S
-    P = embedded_pauli(gate.kind[1], q, n)
-    U = (
-        np.cos(phi / 2)[:, None, None] * np.eye(d, dtype=complex)
-        - 1j * np.sin(phi / 2)[:, None, None] * P
-    )
-    so = np.einsum("tab,tcd->tacbd", U, U.conj()).reshape(T, d * d, d * d)
-    return so @ S
+    ops = []
+    for item in plan:
+        if isinstance(item, np.ndarray):
+            ops.append(("superop", item.T))
+            continue
+        q = item.qubits[0]
+        phi = item.angle * dts
+        if item.kind == "RZ":
+            signs = 1.0 - 2.0 * ((np.arange(d) >> (n - 1 - q)) & 1)
+            u = np.exp(-0.5j * np.outer(phi, signs))  # (T, d)
+            phase = (u[:, :, None] * u.conj()[:, None, :]).reshape(T, 1, d * d)
+            ops.append(("phase", phase))
+            continue
+        P = embedded_pauli(item.kind[1], q, n)
+        U = (
+            np.cos(phi / 2)[:, None, None] * np.eye(d, dtype=complex)
+            - 1j * np.sin(phi / 2)[:, None, None] * P
+        )[:, None]
+        ops.append(("unitary", (U, U.conj().swapaxes(-1, -2))))
+    return ops
+
+
+def _apply_step(v: np.ndarray, ops: list) -> np.ndarray:
+    """One Trotter step on states v[t, k] = vec(rho), row-major, (T, K, d^2)."""
+    T, K, d2 = v.shape
+    for kind, op in ops:
+        if kind == "superop":
+            v = (v.reshape(T * K, d2) @ op).reshape(T, K, d2)
+        elif kind == "phase":
+            v = v * op
+        else:
+            U, U_dag = op
+            d = U.shape[-1]
+            v = (U @ v.reshape(T, K, d, d) @ U_dag).reshape(T, K, d2)
+    return v
 
 
 def _initial_density_vec(system: RadicalPairSystem, nuclear: str) -> np.ndarray:
@@ -271,14 +306,59 @@ def _initial_density_vec(system: RadicalPairSystem, nuclear: str) -> np.ndarray:
     return rho.reshape(-1)
 
 
-def _measurement_vec(n_sites: int) -> np.ndarray:
-    """vec of the |11> electron projector (diagonal, real)."""
+def _density_states(
+    system: RadicalPairSystem,
+    n: int,
+    noise,
+    nuclear: str,
+    times: np.ndarray,
+    prune_zeeman_zero: bool = True,
+    prune_all_zero: bool = False,
+) -> np.ndarray:
+    """Final density matrix of the lowered noisy circuit at every grid time.
+
+    Returns a (T, d, d) stack. Each grid time t > 0 runs preparation, n
+    Trotter steps of size t/n and the measurement basis change; t=0 runs
+    the actual zero-time circuit gate by gate, whose canonical lowering
+    drops the zero-angle field rotations.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    n_sites = system.n_sites
     d = 2**n_sites
-    diag = np.zeros(d)
-    d_nuc = 2 ** (n_sites - 2)
-    diag[3 * d_nuc : 4 * d_nuc] = 1.0
-    M = np.diag(diag).astype(complex)
-    return M.reshape(-1)
+
+    def lowered(t: float, steps: int):
+        circuit = compile_circuit(system, t, steps)
+        return lower_to_basis(circuit, prune_zeeman_zero, prune_all_zero)
+
+    unit = lowered(1.0, 1)
+    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites)
+    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
+    tail_so = _segment_superop(
+        unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites
+    )
+    rho_init = _initial_density_vec(system, nuclear)
+    dts = times[1:] / n
+    ops = _step_operators(plan, dts, n_sites)
+    v = np.broadcast_to(prep @ rho_init, (len(dts), 1, d * d))
+    if n <= 64:
+        for _ in range(n):
+            v = _apply_step(v, ops)
+    else:
+        # rows of the identity pushed through one step give S_t^T
+        eye = np.broadcast_to(np.eye(d * d, dtype=complex), (len(dts), d * d, d * d))
+        v = v @ _batched_power(_apply_step(eye, ops), n)
+    states = np.empty((len(times), d, d), dtype=complex)
+    states[1:] = (v[:, 0] @ tail_so.T).reshape(-1, d, d)
+
+    # zero-time circuit, executed gate by gate through the simulator
+    rho0 = QuantumState("density", rho_init.reshape(d, d), n_sites)
+    states[0] = qsim.run_density(lowered(0.0, n), rho0, noise).data
+    # readers keep the real part of the diagonal; the rest must be rounding
+    imag = float(np.abs(np.diagonal(states, axis1=1, axis2=2).imag).max())
+    if imag > IMAG_TOLERANCE:
+        raise FloatingPointError(f"density diagonal has imaginary part {imag:.3e}")
+    return states
 
 
 def trotter_trace_density(
@@ -297,51 +377,14 @@ def trotter_trace_density(
     The full pipeline is simulated: preparation gates, n lowered Trotter
     steps, measurement basis change, then the |11> electron-readout
     expectation (equal to the singlet population when noise is off).
-    The t=0 grid point runs the actual zero-time circuit, whose canonical
-    lowering drops the zero-angle field rotations.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     times = time_grid(t_max, dt, k=system.k_singlet, tail=tail)
-    n_sites = system.n_sites
-
-    def lowered(t: float, steps: int):
-        circuit = compile_circuit(system, t, steps)
-        return lower_to_basis(circuit, prune_zeeman_zero, prune_all_zero)
-
-    unit = lowered(1.0, 1)
-    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites)
-    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
-    tail_so = _segment_superop(
-        unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites
+    states = _density_states(
+        system, n, noise, nuclear, times, prune_zeeman_zero, prune_all_zero
     )
-    rho_init = _initial_density_vec(system, nuclear)
-    v0 = prep @ rho_init
-    meas = _measurement_vec(n_sites)
-    # Tr[M rho'] with vec(rho') = Tail vec(rho) equals (Tail^T m) . vec(rho)
-    meas_after_tail = tail_so.T @ meas
-
-    dts = times[1:] / n
-    d2 = 4**n_sites
-    steps = np.broadcast_to(np.eye(d2, dtype=complex), (len(dts), d2, d2)).copy()
-    for item in plan:
-        if isinstance(item, np.ndarray):
-            steps = item @ steps
-        else:
-            steps = _apply_scaled_rotation(steps, item, dts, n_sites)
-    v = np.broadcast_to(v0, (len(dts), v0.size)).copy()
-    if n <= 64:
-        for _ in range(n):
-            v = np.einsum("tij,tj->ti", steps, v)
-    else:
-        v = np.einsum("tij,tj->ti", _batched_power(steps, n), v)
-    pops = np.empty(len(times))
-    pops[1:] = np.einsum("i,ti->t", meas_after_tail, v).real
-
-    # zero-time circuit, executed gate by gate through the simulator
-    rho0 = QuantumState("density", rho_init.reshape(2**n_sites, 2**n_sites), n_sites)
-    final0 = qsim.run_density(lowered(0.0, n), rho0, noise)
-    pops[0] = np.einsum("i,i->", meas, final0.data.reshape(-1)).real
+    d_nuc = 2**system.n_nuclei
+    diag = np.diagonal(states, axis1=1, axis2=2).real
+    pops = diag[:, 3 * d_nuc :].sum(axis=1)  # Tr[M rho], M = |11><11| x I
     return PopulationTrace(times, pops, decayed=False)
 
 
@@ -524,18 +567,11 @@ def shot_sweep(
         raise ValueError("shot counts must be >= 1")
     sys_t = system if theta is None else system.with_angles(theta)
     times = time_grid(t_max, dt)
-    n_sites = sys_t.n_sites
-
-    # exact per-time outcome distributions from the full pipeline
-    states = []
-    for t in times:
-        circ = lower_to_basis(compile_circuit(sys_t, float(t), n))
-        rho0 = QuantumState(
-            "density",
-            _initial_density_vec(sys_t, nuclear).reshape(2**n_sites, 2**n_sites),
-            n_sites,
-        )
-        states.append(qsim.run_density(circ, rho0, noise))
+    # exact per-time final states of the full pipeline, one batched run
+    states = [
+        QuantumState("density", rho, sys_t.n_sites)
+        for rho in _density_states(sys_t, n, noise, nuclear, times)
+    ]
     # expectation of the frequency estimator, including readout flips
     transition = qsim.readout_transition_matrix(noise)
     exact = np.array(

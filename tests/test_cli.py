@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import rpsim as rp
 from rpsim.cli import main
+from rpsim.config import resolve
 
 FAST = [
     "--set", "theta_grid.count=5",
@@ -57,6 +59,14 @@ def test_yield_sweep(tmp_path, capsys):
     side = read_sidecar(csv_path)
     assert "delta_S" in side["metadata"]
     assert side["metadata"]["delta_S"] > 0
+    # the sidecar's delta_S carries the CSV's 9 significant digits
+    cfg = resolve(overrides=FAST[1::2])
+    curve = rp.yield_curve(
+        cfg.system, cfg.thetas, mode=cfg.mode, n=cfg.trotter_steps,
+        nuclear=cfg.nuclear, t_max=cfg.t_max, dt=cfg.dt, tail=cfg.tail,
+    )
+    assert lines[1:] == [f"{th:.9g},{y:.9g}" for th, y in zip(curve.thetas, curve.yields)]
+    assert side["metadata"]["delta_S"] == float(f"{rp.anisotropy(curve):.9g}")
 
 
 def test_yield_sweep_rejects_shots(tmp_path, capsys):

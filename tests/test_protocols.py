@@ -16,6 +16,11 @@ def test_time_grid_basic():
         time_grid(1.0, 0.0)
     with pytest.raises(ValueError):
         time_grid(0.0005, 0.001)
+    # t_max must be a whole number of steps; the grid never overshoots it
+    with pytest.raises(ValueError, match="whole number"):
+        time_grid(1.0, 0.3)
+    with pytest.raises(ValueError, match="whole number"):
+        rp.yield_curve(rp.prototype_system(), [0.0, 1.0], t_max=1.0, dt=0.3)
 
 
 def test_time_grid_extension():
@@ -26,6 +31,9 @@ def test_time_grid_extension():
     # fast decay needs no extension
     g = time_grid(1.0, 0.01, k=50.0, tail="extend")
     assert g[-1] == pytest.approx(1.0)
+    # an extended grid still rounds its end up to a whole step
+    g = time_grid(1.0, 0.3, k=50.0, tail="extend")
+    assert g[-1] == pytest.approx(1.2)
     with pytest.raises(ValueError):
         time_grid(1.0, 0.01, k=0.0, tail="extend")
     with pytest.raises(ValueError):
@@ -83,6 +91,7 @@ def test_density_fast_path_matches_per_gate(prototype):
         (two_nuclei, 0.0, 0.3, 2, True, False),
         (two_nuclei, np.pi, 0.3, 2, True, False),
         (two_nuclei, 1.1, 0.3, 2, True, False),
+        (prototype, 1.1, 0.4, 65, True, False),  # above 64 steps: powered step
     ]
     for theta in (0.0, np.pi / 2, np.pi):
         for prune_zeeman_zero in (False, True):
@@ -112,6 +121,19 @@ def test_density_fast_path_zero_time_point(prototype):
     want = qsim.electron_outcome_probabilities(final)[0b11]
     assert trace.populations[0] == pytest.approx(want, abs=1e-12)
     assert trace.populations[0] < 1.0  # preparation noise already bites
+
+
+def test_density_engine_rejects_imaginary_diagonal(prototype, monkeypatch):
+    """A state whose diagonal is not real is an error, not a population."""
+    run_density = qsim.run_density
+
+    def skewed(circuit, initial, noise=None):
+        final = run_density(circuit, initial, noise)
+        return QuantumState("density", final.data + 1e-6j * np.eye(8), 3)
+
+    monkeypatch.setattr(qsim, "run_density", skewed)
+    with pytest.raises(FloatingPointError, match="imaginary"):
+        rp.trotter_trace_density(prototype, 2, None, t_max=0.2, dt=0.1)
 
 
 def test_density_noiseless_equals_statevector_mixed(prototype):
@@ -203,3 +225,47 @@ def test_shot_sweep_exact_center(prototype):
     """Huge shot counts converge on the exact expectation."""
     rows = rp.shot_sweep(prototype, [400000], seed=3, n=2, t_max=0.1, dt=0.05)
     assert rows[0]["rms_error"] < 2e-3
+
+
+def _shot_sweep_per_time(system, shot_list, n, seed, noise, nuclear, t_max, dt):
+    """Oracle: one lowered circuit per grid time, run gate by gate."""
+    times = time_grid(t_max, dt)
+    d = 2**system.n_sites
+    rho0 = QuantumState(
+        "density", _initial_density_vec(system, nuclear).reshape(d, d), system.n_sites
+    )
+    states = [
+        qsim.run_density(rp.lower_to_basis(rp.compile(system, float(t), n)), rho0, noise)
+        for t in times
+    ]
+    transition = qsim.readout_transition_matrix(noise)
+    exact = np.array(
+        [qsim.electron_outcome_probabilities(s) @ transition[:, 0b11] for s in states]
+    )
+    master = np.random.default_rng(seed)
+    rows = []
+    for shots in shot_list:
+        seeds = master.integers(0, 2**63, size=len(times))
+        estimates = np.array([
+            qsim.sample_measurements(s, shots, int(sd), noise).counts["11"] / shots
+            for s, sd in zip(states, seeds)
+        ])
+        rms = float(np.sqrt(np.mean((estimates - exact) ** 2)))
+        rows.append({"shots": shots, "rms_error": rms})
+    return rows
+
+
+def test_shot_sweep_matches_per_time_circuits(prototype):
+    """The batched density engine gives the per-time loop's rows."""
+    sys_t = prototype.with_angles(1.3)
+    shot_list = [50, 2000]
+    for noise in (None, rp.NoiseProfile()):
+        for n in (1, 3):
+            for nuclear in ("mixed", "up"):
+                kwargs = dict(n=n, seed=17, noise=noise, nuclear=nuclear, t_max=0.3, dt=0.1)
+                got = rp.shot_sweep(sys_t, shot_list, **kwargs)
+                want = _shot_sweep_per_time(sys_t, shot_list, **kwargs)
+                assert [r["shots"] for r in got] == shot_list
+                for g, w in zip(got, want):
+                    assert g["shots"] == w["shots"]
+                    assert g["rms_error"] == pytest.approx(w["rms_error"], rel=1e-12)
