@@ -5,7 +5,7 @@ circuits (more Trotter steps) accumulate a larger noise dose and a
 flatter yield curve. The curve's shape survives, which is why a
 two-parameter rescale lines it back up with the reference.
 
-Runtime: about a minute (two noisy 33-angle sweeps).
+Runtime: a few seconds (two noisy 33-angle sweeps).
 """
 
 import numpy as np
@@ -20,9 +20,7 @@ reference = rp.yield_curve(system, thetas, mode="reference", dt=0.001)
 print(f"reference anisotropy:        {rp.anisotropy(reference):.9f}")
 
 for n in (5, 15):
-    noisy = rp.yield_curve(
-        system, thetas, mode="density", n=n, noise=noise, dt=0.01, threads=4
-    )
+    noisy = rp.yield_curve(system, thetas, mode="density", n=n, noise=noise, dt=0.01)
     print(f"noisy anisotropy (n = {n:2d}):   {rp.anisotropy(noisy):.9f}")
     if n == 5:
         curve_for_fit = noisy

@@ -118,7 +118,6 @@ def cmd_yield_sweep(cfg: ExperimentConfig) -> int:
         t_max=cfg.t_max,
         dt=cfg.dt,
         tail=cfg.tail,
-        threads=cfg.threads,
     )
     path = _out_path(cfg.output, "yield_sweep.csv")
     blob = _write_csv(
@@ -254,7 +253,6 @@ def _add_common(sp: argparse.ArgumentParser):
     )
     sp.add_argument("--output", metavar="DIR", help="output directory")
     sp.add_argument("--seed", type=int, help="PRNG seed (unsigned 64-bit)")
-    sp.add_argument("--threads", type=int, help="worker threads for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +295,6 @@ def main(argv=None) -> int:
             raw,
             overrides=args.overrides,
             seed=args.seed,
-            threads=args.threads,
             output=args.output,
         )
         if args.command == "population":

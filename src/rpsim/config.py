@@ -60,7 +60,6 @@ DEFAULTS: dict = {
     "nuclear": "mixed",
     "shots": 0,
     "seed": 12345,
-    "threads": 1,
     "tail": "none",
     "noise": {
         "enabled": False,
@@ -149,7 +148,6 @@ class ExperimentConfig:
     nuclear: str
     shots: int
     seed: int
-    threads: int
     tail: str
     noise: NoiseProfile
     output: str
@@ -265,7 +263,6 @@ def resolve(
     raw: dict | None = None,
     overrides=(),
     seed: int | None = None,
-    threads: int | None = None,
     output: str | None = None,
 ) -> ExperimentConfig:
     """Merge, validate, and build the experiment objects.
@@ -289,8 +286,6 @@ def resolve(
             raise ConfigError(key, "unknown field")
     if seed is not None:
         cfg["seed"] = seed
-    if threads is not None:
-        cfg["threads"] = threads
     if output is not None:
         cfg["output"] = output
 
@@ -311,7 +306,6 @@ def resolve(
     seed_v = _require_int("seed", cfg["seed"], 0)
     if seed_v >= 2**64:
         raise ConfigError("seed", "must fit in 64 bits")
-    threads_v = _require_int("threads", cfg["threads"], 1)
     tail = cfg["tail"]
     if tail not in TAIL_POLICIES:
         raise ConfigError("tail", f"must be one of {', '.join(TAIL_POLICIES)}")
@@ -355,7 +349,6 @@ def resolve(
         nuclear=nuclear,
         shots=shots,
         seed=seed_v,
-        threads=threads_v,
         tail=tail,
         noise=noise,
         output=output_v,

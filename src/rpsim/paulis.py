@@ -25,10 +25,3 @@ def pauli_string_matrix(letters) -> np.ndarray:
     for letter in letters:
         out = np.kron(out, PAULI[letter])
     return out
-
-
-def embedded_pauli(letter: str, site: int, n_sites: int) -> np.ndarray:
-    """Single Pauli on one site, identity elsewhere."""
-    letters = ["I"] * n_sites
-    letters[site] = letter
-    return pauli_string_matrix(letters)

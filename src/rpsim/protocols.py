@@ -10,24 +10,25 @@ statevector path composes the closed-form per-term unitaries
 U_k = cos(h) I - i sin(h) P_k (h = c dt / hbar), which is exactly the
 matrix of the compiled rotation sequence, batched over the time grid.
 The noisy path takes its Trotter step from `lower_to_basis`, so it runs
-exactly the circuit (and pruning) that the gate-by-gate simulator runs:
-each run of constant gates (basis changes, CNOTs, zero-angle cores) is
-composed once into one superoperator with its depolarizing channels
-folded in, and only the dt-scaled rotations are built per time point.
-One core, `_density_states`, applies that step n times to the (T, d^2)
-batch of vectorised states: a constant superoperator is one matmul over
-the batch, a dt-scaled RZ a diagonal phase, a dt-scaled RX/RY the
-conjugation U_t rho U_t^dag. No (T, d^2, d^2) step superoperator is
-formed, except above 64 steps, where powering it is faster; it is then
-built by pushing the identity through the same step. Density traces and
-`shot_sweep` both read their per-time states from this core.
+exactly the circuit (and pruning) that the gate-by-gate simulator runs,
+through the same kernel: `qsim._channel_superop` turns a gate and its
+depolarizing channel into one local superoperator and
+`qsim._apply_channel` contracts it onto a (..., d, d) stack. Each run of
+constant gates (basis changes, CNOTs, zero-angle cores) is composed once
+by pushing the d^2 basis matrices through the kernel, giving a dense
+transposed superoperator; each dt-scaled rotation is one (T, 1, 4, 4)
+local superoperator, one per step size. One core, `_density_states`,
+applies that step n times to the (T, d, d) stack of states: a constant
+run is one matmul over the batch, a scaled rotation one local apply.
+No (T, d^2, d^2) step superoperator is formed, except above 64 steps,
+where powering it is faster; it is then built by pushing the identity
+through the same step. Density traces and `shot_sweep` both read their
+per-time states from this core.
 Both paths are pinned to the per-gate simulators by equivalence tests.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from itertools import product as _product
 
 import numpy as np
@@ -36,7 +37,7 @@ from . import qsim
 from .circuit import compile as compile_circuit
 from .circuit import lower_to_basis
 from .observables import YieldCurve, singlet_yield
-from .paulis import embedded_pauli, pauli_string_matrix
+from .paulis import PAULI, pauli_string_matrix
 from .refsolver import (
     PopulationTrace,
     QuantumState,
@@ -175,118 +176,59 @@ def trotter_trace_statevector(
 # ---------------------------------------------------------------------------
 # batched noisy density path (lowered circuit, per-gate depolarizing)
 
-def _full_unitary(U: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Embed a small gate unitary into the full 2^n space."""
-    d = 2**n
-    cols = np.eye(d, dtype=complex).reshape([2] * (2 * n))
-    out = qsim._apply_to_axes(cols, U, list(qubits))
-    return out.reshape(d, d)
+def _segment_superop(gates, noise, n: int) -> np.ndarray:
+    """Transposed superoperator S^T of a fixed gate list, per-gate noise included.
 
-
-def _unitary_superop(U_full: np.ndarray) -> np.ndarray:
-    # row-major vec: vec(U rho U^dag) = (U kron conj(U)) vec(rho)
-    return np.kron(U_full, U_full.conj())
-
-
-@lru_cache(maxsize=64)
-def _depol_superop(qubits: tuple, p: float, n: int) -> np.ndarray:
-    """Superoperator of qsim.depolarize, probed one basis matrix at a time."""
-    d = 2**n
-    S = np.empty((d * d, d * d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    for j in range(d * d):
-        basis[:] = 0
-        basis[j // d, j % d] = 1
-        S[:, j] = qsim.depolarize(basis, list(qubits), p, n).reshape(-1)
-    S.flags.writeable = False  # shared by every caller through the cache
-    return S
-
-
-def _segment_superop(gates, noise, n: int, scaled=None) -> np.ndarray:
-    """Superoperator of a fixed gate list with per-gate depolarizing.
-
-    `scaled` is a dt-scaled rotation just before the list: its unitary
-    is applied per step size elsewhere, so only its channel leads here.
+    The d^2 basis matrices are pushed through the gates as one stack, so
+    row j is vec(S(E_j)), and a row vector of states maps as v @ S^T.
     """
     d = 2**n
-    S = np.eye(d * d, dtype=complex)
-    for gate in ([scaled] if scaled is not None else []) + list(gates):
-        if gate is not scaled:
-            U = _full_unitary(qsim.gate_matrix(gate), gate.qubits, n)
-            S = _unitary_superop(U) @ S
-        p = qsim._depol_strength(gate, noise)
-        if p:
-            S = _depol_superop(gate.qubits, p, n) @ S
-    return S
+    rows = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    for gate in gates:
+        S = qsim._channel_superop(qsim.gate_matrix(gate), qsim._depol_strength(gate, noise))
+        rows = qsim._apply_channel(rows, S, gate.qubits, n)
+    return rows.reshape(d * d, d * d)
 
 
-def _step_plan(lowered_unit, lowered_double, noise, n: int) -> list:
-    """One lowered Trotter step as constant superoperators and scaled gates.
+def _step_plan(lowered_unit, lowered_double, noise, n: int, dts: np.ndarray) -> list:
+    """One lowered Trotter step at every step size, as operators on states.
 
     The step is lowered at dt=1 and dt=2: a gate whose angle differs
     between the two is a dt-scaled rotation whose angle at dt=1 is its
-    rate; every run of other gates is composed once, noise included.
+    rate; it becomes one (T, 1, 4, 4) local superoperator with its own
+    channel, paired with its qubits. Every run of other gates is composed
+    once, noise included, into a transposed d^2 x d^2 superoperator.
     """
     plan: list = []
     run: list = []
-    scaled = None
     for gate, doubled in zip(lowered_unit, lowered_double, strict=True):
         if gate.angle == doubled.angle:
             run.append(gate)
             continue
-        if run or scaled is not None:
-            plan.append(_segment_superop(run, noise, n, scaled))
-        plan.append(gate)
-        run, scaled = [], gate
-    if run or scaled is not None:
-        plan.append(_segment_superop(run, noise, n, scaled))
+        if run:
+            plan.append(_segment_superop(run, noise, n))
+        half = gate.angle * dts / 2
+        U = (
+            np.cos(half)[:, None, None] * np.eye(2)
+            - 1j * np.sin(half)[:, None, None] * PAULI[gate.kind[1]]
+        )
+        S = qsim._channel_superop(U[:, None], qsim._depol_strength(gate, noise))
+        plan.append((S, gate.qubits))
+        run = []
+    if run:
+        plan.append(_segment_superop(run, noise, n))
     return plan
 
 
-def _step_operators(plan, dts: np.ndarray, n: int) -> list:
-    """The step plan at every step size, as operators on vectorised states.
-
-    A constant superoperator S acts on all rows at once (as S^T on row
-    vectors); a dt-scaled RZ is a (T, 1, d^2) phase; a dt-scaled RX/RY is
-    the (T, 1, d, d) unitary pair (U_t, U_t^dag).
-    """
-    T = len(dts)
-    d = 2**n
-    ops = []
+def _apply_step(rho: np.ndarray, plan: list, n: int) -> np.ndarray:
+    """One Trotter step on a (T, K, d, d) stack of states."""
     for item in plan:
         if isinstance(item, np.ndarray):
-            ops.append(("superop", item.T))
-            continue
-        q = item.qubits[0]
-        phi = item.angle * dts
-        if item.kind == "RZ":
-            signs = 1.0 - 2.0 * ((np.arange(d) >> (n - 1 - q)) & 1)
-            u = np.exp(-0.5j * np.outer(phi, signs))  # (T, d)
-            phase = (u[:, :, None] * u.conj()[:, None, :]).reshape(T, 1, d * d)
-            ops.append(("phase", phase))
-            continue
-        P = embedded_pauli(item.kind[1], q, n)
-        U = (
-            np.cos(phi / 2)[:, None, None] * np.eye(d, dtype=complex)
-            - 1j * np.sin(phi / 2)[:, None, None] * P
-        )[:, None]
-        ops.append(("unitary", (U, U.conj().swapaxes(-1, -2))))
-    return ops
-
-
-def _apply_step(v: np.ndarray, ops: list) -> np.ndarray:
-    """One Trotter step on states v[t, k] = vec(rho), row-major, (T, K, d^2)."""
-    T, K, d2 = v.shape
-    for kind, op in ops:
-        if kind == "superop":
-            v = (v.reshape(T * K, d2) @ op).reshape(T, K, d2)
-        elif kind == "phase":
-            v = v * op
+            flat = rho.reshape(-1, item.shape[0])
+            rho = (flat @ item).reshape(rho.shape)
         else:
-            U, U_dag = op
-            d = U.shape[-1]
-            v = (U @ v.reshape(T, K, d, d) @ U_dag).reshape(T, K, d2)
-    return v
+            rho = qsim._apply_channel(rho, *item, n)
+    return rho
 
 
 def _initial_density_vec(system: RadicalPairSystem, nuclear: str) -> np.ndarray:
@@ -332,24 +274,22 @@ def _density_states(
         return lower_to_basis(circuit, prune_zeeman_zero, prune_all_zero)
 
     unit = lowered(1.0, 1)
-    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites)
-    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
-    tail_so = _segment_superop(
-        unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites
-    )
-    rho_init = _initial_density_vec(system, nuclear)
     dts = times[1:] / n
-    ops = _step_operators(plan, dts, n_sites)
-    v = np.broadcast_to(prep @ rho_init, (len(dts), 1, d * d))
+    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites, dts)
+    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
+    tail = _segment_superop(unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites)
+    rho_init = _initial_density_vec(system, nuclear)
+    v = np.broadcast_to((rho_init @ prep).reshape(d, d), (len(dts), 1, d, d))
     if n <= 64:
         for _ in range(n):
-            v = _apply_step(v, ops)
+            v = _apply_step(v, plan, n_sites)
     else:
         # rows of the identity pushed through one step give S_t^T
-        eye = np.broadcast_to(np.eye(d * d, dtype=complex), (len(dts), d * d, d * d))
-        v = v @ _batched_power(_apply_step(eye, ops), n)
+        eye = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        step = _apply_step(np.broadcast_to(eye, (len(dts), d * d, d, d)), plan, n_sites)
+        v = v.reshape(-1, 1, d * d) @ _batched_power(step.reshape(-1, d * d, d * d), n)
     states = np.empty((len(times), d, d), dtype=complex)
-    states[1:] = (v[:, 0] @ tail_so.T).reshape(-1, d, d)
+    states[1:] = (v.reshape(-1, d * d) @ tail).reshape(-1, d, d)
 
     # zero-time circuit, executed gate by gate through the simulator
     rho0 = QuantumState("density", rho_init.reshape(d, d), n_sites)
@@ -452,13 +392,11 @@ def yield_curve(
     t_max: float = 1.0,
     dt: float = 0.001,
     tail: str = "none",
-    threads: int = 1,
 ) -> YieldCurve:
     """Singlet yield versus field angle theta.
 
     Each angle gets its own Hamiltonian, trace, and truncated yield
-    integral; angles are independent, so they fan out over a thread
-    pool when threads > 1 (matmul releases the GIL).
+    integral.
     """
     thetas = np.asarray(thetas, dtype=float)
     k = _symmetric_rate(system)
@@ -468,11 +406,7 @@ def yield_curve(
         trace = population_trace(sys_t, mode, n, noise, nuclear, t_max, dt, tail)
         return yield_from_trace(trace, k)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yields = np.array(list(pool.map(one, thetas)))
-    else:
-        yields = np.array([one(th) for th in thetas])
+    yields = np.array([one(th) for th in thetas])
     meta = {
         "mode": mode,
         "n": n,

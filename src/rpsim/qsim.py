@@ -5,6 +5,13 @@ The density path supports a parametric per-gate noise model: after every
 (p_depol_2q) acts on that gate's qubits. Readout bit-flip errors apply
 only when sampling measurement shots.
 
+All density-matrix work goes through one kernel: a gate and its channel
+form a single 4^k x 4^k local superoperator (`_channel_superop`), which
+`_apply_channel` contracts onto the gate's row and column axes of a
+(..., d, d) stack of density matrices, never building a full-space
+operator. `run_density` is its one-state case; the batched noisy engine
+in `protocols` pushes whole stacks (time grids, identity rows) through it.
+
 Qubit 0 is the most significant bit of a basis index, matching the rest
 of the package.
 """
@@ -98,33 +105,60 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_to_axes(tensor: np.ndarray, U: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract U onto the given tensor axes, preserving axis order."""
-    k = len(axes)
-    n = tensor.ndim
-    rest = [ax for ax in range(n) if ax not in axes]
-    perm = list(axes) + rest
-    moved = np.transpose(tensor, perm).reshape(2**k, -1)
-    moved = U @ moved
-    moved = moved.reshape([2] * n)
-    return np.transpose(moved, np.argsort(perm))
+def _apply_to_axes(states: np.ndarray, U: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract U onto the given qubit axes of a stack of flat states.
+
+    `states` is (..., 2^m) over m qubit axes, qubit 0 most significant;
+    U is (2^k, 2^k) for k = len(axes), or a stack that broadcasts over
+    the leading axes of `states`. Axis order is preserved.
+    """
+    batch = states.shape[:-1]
+    m = states.shape[-1].bit_length() - 1
+    b = len(batch)
+    rest = [ax for ax in range(m) if ax not in axes]
+    perm = list(range(b)) + [b + ax for ax in list(axes) + rest]
+    moved = np.transpose(states.reshape(batch + (2,) * m), perm)
+    moved = U @ moved.reshape(batch + (2 ** len(axes), -1))
+    moved = np.transpose(moved.reshape(moved.shape[:-2] + (2,) * m), np.argsort(perm))
+    return moved.reshape(moved.shape[:-m] + (2**m,))
+
+
+def _channel_superop(U: np.ndarray, p: float) -> np.ndarray:
+    """Local superoperator of a gate followed by its depolarizing channel.
+
+    S = (1-p) (U (x) U*) + p |vec(I/2^k)><vec(I)| (U (x) U*) acts on the
+    row-major vec of the gate's 2^k x 2^k block; U may be a (..., 2^k, 2^k)
+    stack, giving one S per entry.
+    """
+    k = U.shape[-1]
+    S = U[..., :, None, :, None] * U.conj()[..., None, :, None, :]
+    S = S.reshape(U.shape[:-2] + (k * k, k * k))
+    if p:
+        flat_eye = np.eye(k).reshape(-1)
+        S = (1 - p) * S + (p / k) * flat_eye[:, None] * (flat_eye @ S)[..., None, :]
+    return S
+
+
+def _apply_channel(
+    rho: np.ndarray, S: np.ndarray, qubits: Sequence[int], n_qubits: int
+) -> np.ndarray:
+    """Apply a local superoperator S on `qubits` to a (..., d, d) stack.
+
+    S acts on the gate's row and column axes together; a stack of S
+    broadcasts over the leading axes of rho.
+    """
+    axes = list(qubits) + [q + n_qubits for q in qubits]
+    flat = rho.reshape(rho.shape[:-2] + (-1,))
+    return _apply_to_axes(flat, S, axes).reshape(rho.shape)
 
 
 def apply_gate_state(psi: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    U = gate_matrix(gate)
-    tensor = psi.reshape([2] * n_qubits)
-    return _apply_to_axes(tensor, U, list(gate.qubits)).reshape(-1)
+    return _apply_to_axes(psi, gate_matrix(gate), gate.qubits)
 
 
 def apply_gate_density(rho: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     """rho -> U rho U^dag without building the full-space unitary."""
-    U = gate_matrix(gate)
-    tensor = rho.reshape([2] * (2 * n_qubits))
-    tensor = _apply_to_axes(tensor, U, list(gate.qubits))
-    tensor = _apply_to_axes(
-        tensor, U.conj(), [q + n_qubits for q in gate.qubits]
-    )
-    return tensor.reshape(2**n_qubits, 2**n_qubits)
+    return _apply_channel(rho, _channel_superop(gate_matrix(gate), 0.0), gate.qubits, n_qubits)
 
 
 def depolarize(rho: np.ndarray, qubits: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
@@ -133,29 +167,7 @@ def depolarize(rho: np.ndarray, qubits: Sequence[int], p: float, n_qubits: int) 
     With probability p the subset is replaced by its maximally mixed
     state: rho -> (1-p) rho + p * (I/2^m) (x) Tr_subset[rho].
     """
-    if p == 0.0:
-        return rho
-    m = len(qubits)
-    tensor = rho.reshape([2] * (2 * n_qubits))
-    reduced = tensor
-    # trace out the subset, highest axis first so indices stay valid
-    for q in sorted(qubits, reverse=True):
-        reduced = np.trace(reduced, axis1=q, axis2=q + reduced.ndim // 2)
-    # tensor the identity back in and restore axis order
-    eye = np.eye(2**m, dtype=complex).reshape([2] * (2 * m)) / 2**m
-    replaced = np.tensordot(eye, reduced, axes=0)
-    # axes now: subset-row, subset-col, rest-row, rest-col
-    rest = [ax for ax in range(n_qubits) if ax not in qubits]
-    # order[final_axis] = axis of `replaced` that belongs there
-    order = np.empty(2 * n_qubits, dtype=int)
-    for i, q in enumerate(qubits):
-        order[q] = i
-        order[q + n_qubits] = i + m
-    for i, q in enumerate(rest):
-        order[q] = 2 * m + i
-        order[q + n_qubits] = 2 * m + len(rest) + i
-    replaced = np.transpose(replaced, order)
-    return ((1 - p) * tensor + p * replaced).reshape(rho.shape)
+    return _apply_channel(rho, _channel_superop(np.eye(2 ** len(qubits)), p), qubits, n_qubits)
 
 
 def _depol_strength(gate: Gate, noise: NoiseProfile | None) -> float:
@@ -227,10 +239,8 @@ def run_density(
     n = circuit.n_qubits
     rho = initial.data.copy()
     for gate in circuit.gates:
-        rho = apply_gate_density(rho, gate, n)
-        p = _depol_strength(gate, noise)
-        if p:
-            rho = depolarize(rho, list(gate.qubits), p, n)
+        S = _channel_superop(gate_matrix(gate), _depol_strength(gate, noise))
+        rho = _apply_channel(rho, S, gate.qubits, n)
     return QuantumState("density", rho, n)
 
 

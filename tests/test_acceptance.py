@@ -43,7 +43,7 @@ def statevector_curve(prototype):
 def noisy_curve_n5(prototype):
     return rp.yield_curve(
         prototype, THETAS, mode="density", n=5, noise=rp.NoiseProfile(),
-        dt=0.01, threads=4,
+        dt=0.01,
     )
 
 
@@ -51,7 +51,7 @@ def noisy_curve_n5(prototype):
 def noisy_curve_n15(prototype):
     return rp.yield_curve(
         prototype, THETAS, mode="density", n=15, noise=rp.NoiseProfile(),
-        dt=0.01, threads=4,
+        dt=0.01,
     )
 
 

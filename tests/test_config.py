@@ -25,7 +25,6 @@ def test_defaults_resolve():
     assert cfg.nuclear == "mixed"
     assert cfg.shots == 0
     assert cfg.seed == 12345
-    assert cfg.threads == 1
     assert cfg.tail == "none"
     assert cfg.noise.enabled is False
     assert len(cfg.thetas) == 128
@@ -103,9 +102,8 @@ def test_override_beats_file(tmp_path):
 
 
 def test_flags_beat_overrides():
-    cfg = resolve(overrides=["seed=1", "threads=2"], seed=42, threads=4)
+    cfg = resolve(overrides=["seed=1"], seed=42)
     assert cfg.seed == 42
-    assert cfg.threads == 4
 
 
 @pytest.mark.parametrize(
@@ -123,7 +121,7 @@ def test_flags_beat_overrides():
         ("theta_grid.values=[1.0, 0.5]", "theta_grid.values"),
         ("seed=18446744073709551616", "seed"),
         ("seed=-1", "seed"),
-        ("threads=0", "threads"),
+        ("threads=2", "threads"),  # retired field: unknown
         ("shots=-5", "shots"),
         ("noise.enabled=true", "noise.enabled"),
         ("noise.p_depol_1q=1.5", "noise.p_depol_1q"),

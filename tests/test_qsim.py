@@ -8,9 +8,13 @@ from rpsim.refsolver import QuantumState
 
 from util import (
     circuit_unitary_oracle,
+    depolarize_oracle,
     gate_unitary_oracle,
+    local_unitary_oracle,
     random_circuit,
+    random_density,
     random_pure_state,
+    random_unitary,
 )
 
 
@@ -112,6 +116,22 @@ def test_depolarize_interpolation():
     out = qsim.depolarize(rho, [1], p, 3)
     full = qsim.depolarize(rho, [1], 1.0, 3)
     assert np.allclose(out, (1 - p) * rho + p * full, atol=1e-12)
+
+
+def test_channel_kernel_matches_dense_oracle():
+    """A (B, d, d) stack through one local superoperator per entry equals
+    the kron-built unitary followed by the depolarizing formula."""
+    rng = np.random.default_rng(29)
+    n, B = 3, 4
+    for qubits in [(1,), (2,), (0, 1), (1, 2), (2, 0)]:
+        for p in (0.0, 0.37):
+            Us = np.stack([random_unitary(rng, 2 ** len(qubits)) for _ in range(B)])
+            rhos = np.stack([random_density(rng, 2**n) for _ in range(B)])
+            got = qsim._apply_channel(rhos, qsim._channel_superop(Us, p), qubits, n)
+            for U, rho, out in zip(Us, rhos, got):
+                U_full = local_unitary_oracle(U, qubits, n)
+                want = depolarize_oracle(U_full @ rho @ U_full.conj().T, qubits, p, n)
+                assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_run_density_noiseless_equals_statevector():

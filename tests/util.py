@@ -114,3 +114,46 @@ def random_circuit(rng: np.random.Generator, n_qubits: int = 3, max_depth: int =
 def random_pure_state(rng: np.random.Generator, n_qubits: int = 3) -> np.ndarray:
     v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return v / np.linalg.norm(v)
+
+
+def local_unitary_oracle(U: np.ndarray, qubits, n_sites: int) -> np.ndarray:
+    """Full-space unitary of a gate matrix on `qubits` (first qubit most
+    significant), summed from kron chains of single-site |a><b| terms."""
+    k = len(qubits)
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for row in range(2**k):
+        for col in range(2**k):
+            ops = [SI] * n_sites
+            for pos, q in enumerate(qubits):
+                a = (row >> (k - 1 - pos)) & 1
+                b = (col >> (k - 1 - pos)) & 1
+                ops[q] = np.outer(SI[a], SI[b])
+            term = np.array([[1.0 + 0j]])
+            for op in ops:
+                term = np.kron(term, op)
+            out += U[row, col] * term
+    return out
+
+
+def depolarize_oracle(rho: np.ndarray, qubits, p: float, n_sites: int) -> np.ndarray:
+    """(1-p) rho + p I/2^m (x) Tr_S rho, the replacement written as the
+    uniform Pauli twirl over the subset S: (1/4^m) sum_P P rho P."""
+    twirl = np.zeros_like(rho)
+    for letters in np.ndindex(*([4] * len(qubits))):
+        P = np.eye(2**n_sites, dtype=complex)
+        for q, idx in zip(qubits, letters):
+            P = P @ embed_oracle(PAULI_1Q["IXYZ"[idx]], q, n_sites)
+        twirl += P @ rho @ P
+    return (1 - p) * rho + p * twirl / 4 ** len(qubits)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
