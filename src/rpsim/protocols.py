@@ -9,6 +9,10 @@ over a 1001-point grid is far too slow gate by gate in Python, so the
 statevector path composes the closed-form per-term unitaries
 U_k = cos(h) I - i sin(h) P_k (h = c dt / hbar), which is exactly the
 matrix of the compiled rotation sequence, batched over the time grid.
+Each P_k is held as a signed permutation (`paulis.signed_permutation`),
+so U_k is applied to the (T, d, d) stack as a row gather and two scaled
+updates, O(d^2) per time point instead of a d x d matmul; terms with a
+zero coefficient are exact identities and are skipped.
 The noisy path takes its Trotter step from `lower_to_basis`, so it runs
 exactly the circuit (and pruning) that the gate-by-gate simulator runs,
 through the same kernel: `qsim._channel_superop` turns a gate and its
@@ -37,8 +41,9 @@ from . import qsim
 from .circuit import compile as compile_circuit
 from .circuit import lower_to_basis
 from .observables import YieldCurve, singlet_yield
-from .paulis import PAULI, pauli_string_matrix
+from .paulis import PAULI, signed_permutation
 from .refsolver import (
+    IMAG_TOLERANCE,
     PopulationTrace,
     QuantumState,
     apply_decay,
@@ -49,7 +54,6 @@ from .refsolver import (
 from .spinham import RadicalPairSystem, build_pauli_terms, to_dense_matrix
 
 TAIL_EPSILON = 1e-6  # survival threshold for tail="extend"
-IMAG_TOLERANCE = 1e-10  # largest imaginary part a density diagonal may carry
 
 
 def time_grid(t_max: float, dt: float, k: float | None = None, tail: str = "none") -> np.ndarray:
@@ -98,23 +102,31 @@ def reference_trace(
 # ---------------------------------------------------------------------------
 # batched Trotter statevector path
 
-def _term_data(system: RadicalPairSystem):
-    terms = build_pauli_terms(system)
-    coeffs = np.array([t.coefficient for t in terms])
-    mats = np.stack([pauli_string_matrix(t.letters) for t in terms])
-    return coeffs, mats
+def _term_data(system: RadicalPairSystem) -> list:
+    """(c, perm, phase) of each nonzero Hamiltonian term, in list order.
+
+    A zero-coefficient term's rotation is the identity, so it is skipped.
+    """
+    return [
+        (t.coefficient, *signed_permutation(t.letters))
+        for t in build_pauli_terms(system)
+        if t.coefficient != 0.0
+    ]
 
 
-def _batched_step_unitaries(coeffs, mats, dts, hbar) -> np.ndarray:
-    """U_step(dt) for a batch of step sizes; terms applied in list order."""
+def _batched_step_unitaries(terms, d: int, dts, hbar) -> np.ndarray:
+    """U_step(dt) for a batch of step sizes; terms applied in list order.
+
+    Each term left-multiplies U by cos(h) I - i sin(h) P; as P is a
+    signed permutation, (P U)[i] = phase[i] U[perm[i]], a row gather.
+    """
     T = len(dts)
-    d = mats.shape[1]
-    eye = np.eye(d, dtype=complex)
-    U = np.broadcast_to(eye, (T, d, d)).copy()
-    for c, P in zip(coeffs, mats):
+    U = np.broadcast_to(np.eye(d, dtype=complex), (T, d, d)).copy()
+    for c, perm, phase in terms:
         h = c * np.asarray(dts) / hbar  # half-angle of the rotation
-        Uk = np.cos(h)[:, None, None] * eye - 1j * np.sin(h)[:, None, None] * P
-        U = Uk @ U
+        PU = phase[:, None] * U[:, perm, :]
+        U *= np.cos(h)[:, None, None]
+        U -= 1j * np.sin(h)[:, None, None] * PU
     return U
 
 
@@ -158,8 +170,8 @@ def trotter_trace_statevector(
     if n < 1:
         raise ValueError("n must be >= 1")
     times = time_grid(t_max, dt, k=system.k_singlet, tail=tail)
-    coeffs, mats = _term_data(system)
-    U = _batched_step_unitaries(coeffs, mats, times[1:] / n, system.hbar)
+    d = 2**system.n_sites
+    U = _batched_step_unitaries(_term_data(system), d, times[1:] / n, system.hbar)
     U = _batched_power(U, n)
     configs = _nuclear_bit_configs(system.n_nuclei, nuclear)
     psi0 = np.stack([singlet_vector(system.n_sites, bits) for bits in configs])

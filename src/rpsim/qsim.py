@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .paulis import PAULI
+from .paulis import PAULI, pauli_string_matrix
 from .refsolver import QuantumState
 
 PRNG_ALGORITHM = "PCG64"  # numpy default_rng; recorded in output metadata
@@ -97,7 +97,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
             - 1j * np.sin(gate.angle / 2) * pauli
         )
     if gate.kind == "PauliRot2":
-        pauli = np.kron(PAULI[gate.letters[0]], PAULI[gate.letters[1]])
+        pauli = pauli_string_matrix(gate.letters)
         return (
             np.cos(gate.angle / 2) * np.eye(4)
             - 1j * np.sin(gate.angle / 2) * pauli

@@ -19,6 +19,7 @@ import numpy as np
 from .spinham import HBAR_NEV_US
 
 _HERM_TOL = 1e-10
+IMAG_TOLERANCE = 1e-10  # largest imaginary part a population may carry
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,15 @@ def evolve_exact(
     if state0.kind == "pure":
         amp0 = evecs.conj().T @ state0.data
         coeff = phases * amp0  # (T, d)
-        pops = np.einsum("ta,ab,tb->t", coeff.conj(), proj_e, coeff).real
+        pops = np.einsum("ta,ab,tb->t", coeff.conj(), proj_e, coeff)
     else:
         rho_e = evecs.conj().T @ state0.data @ evecs
-        pops = np.einsum("ab,ta,tb,ba->t", rho_e, phases, phases.conj(), proj_e).real
-    return PopulationTrace(times, pops, decayed=False)
+        pops = np.einsum("ab,ta,tb,ba->t", rho_e, phases, phases.conj(), proj_e)
+    # a population is real; a larger imaginary part means a non-Hermitian state
+    imag = float(np.abs(pops.imag).max())
+    if imag > IMAG_TOLERANCE:
+        raise FloatingPointError(f"population has imaginary part {imag:.3e}")
+    return PopulationTrace(times, pops.real, decayed=False)
 
 
 def apply_decay(trace: PopulationTrace, k: float) -> PopulationTrace:

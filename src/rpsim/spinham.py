@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import pauli_string_matrix
+from .paulis import signed_permutation
 
 HBAR_NEV_US = 0.6582119569
 """Reduced Planck constant in neV*us."""
@@ -209,6 +209,7 @@ def to_dense_matrix(terms: Sequence[PauliTerm], n_sites: int) -> np.ndarray:
         ValueError: if any term's letter count differs from n_sites.
     """
     dim = 2**n_sites
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for term in terms:
         if len(term.letters) != n_sites:
@@ -217,5 +218,6 @@ def to_dense_matrix(terms: Sequence[PauliTerm], n_sites: int) -> np.ndarray:
             )
         if term.coefficient == 0.0:
             continue
-        out += term.coefficient * pauli_string_matrix(term.letters)
+        perm, phase = signed_permutation(term.letters)
+        out[rows, perm] += term.coefficient * phase
     return out

@@ -52,12 +52,30 @@ def test_reference_trace_nuclear_average(prototype):
 def test_statevector_fast_path_matches_per_gate(prototype):
     """The batched step-unitary engine is pinned to gate-by-gate runs."""
     rng = np.random.default_rng(21)
-    for theta, t, n in [(0.0, 0.5, 1), (np.pi / 2, 1.0, 4), (1.3, 0.25, 3), (2.2, 0.8, 7)]:
-        sys_t = prototype.with_angles(theta)
+    # off-diagonal tensor entries give XY/XZ/YZ strings; unequal g-factors
+    two_nuclei = rp.prototype_system(
+        g_factors=(2.0, 2.003),
+        nuclei=(
+            (0, np.diag([5.0, 5.0, 10.0])),
+            (1, np.array([[2.5, 0.7, -0.3], [0.7, 2.5, 0.4], [-0.3, 0.4, 5.0]])),
+        ),
+    )
+    cases = [
+        (prototype, 0.0, 0.5, 1),
+        (prototype, np.pi / 2, 1.0, 4),
+        (prototype, 1.3, 0.25, 3),
+        (prototype, 2.2, 0.8, 7),
+        (two_nuclei, 0.0, 0.4, 3),
+        (two_nuclei, 1.3, 0.4, 3),
+        (two_nuclei, np.pi, 0.4, 3),
+    ]
+    for system, theta, t, n in cases:
+        sys_t = system.with_angles(theta)
+        n_sites = sys_t.n_sites
         trace = rp.trotter_trace_statevector(sys_t, n, "up", t_max=t, dt=t)
         circ = rp.compile(sys_t, t, n)
-        psi0 = QuantumState.pure(rp.singlet_vector(3, "0"))
-        final = qsim.run_statevector(Circuit(3, circ.body, n, t), psi0)
+        psi0 = QuantumState.pure(rp.singlet_vector(n_sites, "0" * sys_t.n_nuclei))
+        final = qsim.run_statevector(Circuit(n_sites, circ.body, n, t), psi0)
         assert trace.populations[-1] == pytest.approx(
             rp.singlet_population_from_state(final), abs=1e-12
         )

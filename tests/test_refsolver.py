@@ -112,6 +112,12 @@ def test_evolve_exact_rejects_nonhermitian():
     H[0, 1] = 1.0
     with pytest.raises(ValueError):
         rp.evolve_exact(H, rp.initial_state("up", 3), np.array([0.0, 0.1]))
+    # a non-Hermitian state gives complex populations, which must not be
+    # truncated to their real part
+    rho = rp.initial_state("mixed", 3).data + 1e-6j * np.eye(8)
+    H = _hamiltonian(rp.prototype_system())
+    with pytest.raises(FloatingPointError, match="imaginary"):
+        rp.evolve_exact(H, QuantumState("density", rho, 3), np.array([0.0, 0.1]))
 
 
 def test_population_trace_validation():

@@ -26,6 +26,14 @@ def embed_oracle(mat: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return out
 
 
+def pauli_string_oracle(letters) -> np.ndarray:
+    """Kron chain of single-site Paulis, site 0 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for letter in letters:
+        out = np.kron(out, PAULI_1Q[letter])
+    return out
+
+
 def dense_hamiltonian_oracle(system) -> np.ndarray:
     """Zeeman + hyperfine matrix built directly from the system fields."""
     n = system.n_sites
