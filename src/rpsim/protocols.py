@@ -17,17 +17,23 @@ The noisy path takes its Trotter step from `lower_to_basis`, so it runs
 exactly the circuit (and pruning) that the gate-by-gate simulator runs,
 through the same kernel: `qsim._channel_superop` turns a gate and its
 depolarizing channel into one local superoperator and
-`qsim._apply_channel` contracts it onto a (..., d, d) stack. Each run of
-constant gates (basis changes, CNOTs, zero-angle cores) is composed once
-by pushing the d^2 basis matrices through the kernel, giving a dense
-transposed superoperator; each dt-scaled rotation is one (T, 1, 4, 4)
-local superoperator, one per step size. One core, `_density_states`,
-applies that step n times to the (T, d, d) stack of states: a constant
-run is one matmul over the batch, a scaled rotation one local apply.
-No (T, d^2, d^2) step superoperator is formed, except above 64 steps,
-where powering it is faster; it is then built by pushing the identity
-through the same step. Density traces and `shot_sweep` both read their
-per-time states from this core.
+`qsim._apply_channel` contracts it onto a (..., d, d) stack. Each
+dt-scaled rotation is one (T, 1, 4, 4) local superoperator, one per step
+size. A run of constant gates (basis changes, CNOTs, zero-angle cores)
+is composed into a dense transposed superoperator, by pushing the d^2
+basis matrices through the kernel, only when at least d^2 states go
+through it (n*T in the step, T for the basis-change tail, 1 for the
+preparation); composing costs as much as applying the gates to d^2
+states, so a shorter use applies the run gate by gate. One core,
+`_density_states`, applies the step n times to the (T, d, d) stack of
+states. No (T, d^2, d^2) step superoperator is formed, except above 64
+steps, where powering it is faster; it is then built by pushing the
+identity through the same step. A density `yield_curve` passes one dict
+to every angle, for that call only: the composed runs (keyed by their
+gates) and the t=0 state (keyed by the zero-time circuit, the same at
+every angle) are built once per curve. Density traces and `shot_sweep`
+read their per-time states from this core; a state whose trace is off
+by more than 1e-10 is an error.
 Both paths are pinned to the per-gate simulators by equivalence tests.
 """
 
@@ -54,6 +60,7 @@ from .refsolver import (
 from .spinham import RadicalPairSystem, build_pauli_terms, to_dense_matrix
 
 TAIL_EPSILON = 1e-6  # survival threshold for tail="extend"
+TRACE_TOLERANCE = 1e-10  # max |Tr rho - 1| of a noisy density state
 
 
 def time_grid(t_max: float, dt: float, k: float | None = None, tail: str = "none") -> np.ndarray:
@@ -131,13 +138,13 @@ def _batched_step_unitaries(terms, d: int, dts, hbar) -> np.ndarray:
 
 
 def _batched_power(U: np.ndarray, n: int) -> np.ndarray:
-    T, d, _ = U.shape
-    out = np.broadcast_to(np.eye(d, dtype=complex), (T, d, d)).copy()
+    """U^n by binary powering; `out` starts as the first factor it takes."""
+    out = None
     base = U
     e = n
     while e:
         if e & 1:
-            out = base @ out
+            out = base if out is None else base @ out
         e >>= 1
         if e:
             base = base @ base
@@ -202,14 +209,38 @@ def _segment_superop(gates, noise, n: int) -> np.ndarray:
     return rows.reshape(d * d, d * d)
 
 
-def _step_plan(lowered_unit, lowered_double, noise, n: int, dts: np.ndarray) -> list:
+def _run_items(gates, uses: int, noise, n: int, shared: dict) -> list:
+    """Plan items of a run of constant gates that `uses` states go through.
+
+    Composing the run pushes d^2 basis matrices through its gates, the
+    work of applying them to d^2 states, so the run is composed into one
+    dense S^T only when at least d^2 states use it; otherwise each gate
+    stays a local (S, qubits) item. Composed runs are kept in `shared`,
+    keyed by their gates.
+    """
+    if not gates:
+        return []
+    if uses < 4**n:
+        return [
+            (qsim._channel_superop(qsim.gate_matrix(g), qsim._depol_strength(g, noise)), g.qubits)
+            for g in gates
+        ]
+    key = ("run", tuple(gates))
+    if key not in shared:
+        shared[key] = _segment_superop(gates, noise, n)
+    return [shared[key]]
+
+
+def _step_plan(
+    lowered_unit, lowered_double, noise, n: int, dts: np.ndarray, uses: int, shared: dict
+) -> list:
     """One lowered Trotter step at every step size, as operators on states.
 
     The step is lowered at dt=1 and dt=2: a gate whose angle differs
     between the two is a dt-scaled rotation whose angle at dt=1 is its
     rate; it becomes one (T, 1, 4, 4) local superoperator with its own
-    channel, paired with its qubits. Every run of other gates is composed
-    once, noise included, into a transposed d^2 x d^2 superoperator.
+    channel, paired with its qubits. Every run of other gates becomes
+    `_run_items` for `uses` states.
     """
     plan: list = []
     run: list = []
@@ -217,8 +248,7 @@ def _step_plan(lowered_unit, lowered_double, noise, n: int, dts: np.ndarray) -> 
         if gate.angle == doubled.angle:
             run.append(gate)
             continue
-        if run:
-            plan.append(_segment_superop(run, noise, n))
+        plan += _run_items(run, uses, noise, n, shared)
         half = gate.angle * dts / 2
         U = (
             np.cos(half)[:, None, None] * np.eye(2)
@@ -227,13 +257,11 @@ def _step_plan(lowered_unit, lowered_double, noise, n: int, dts: np.ndarray) -> 
         S = qsim._channel_superop(U[:, None], qsim._depol_strength(gate, noise))
         plan.append((S, gate.qubits))
         run = []
-    if run:
-        plan.append(_segment_superop(run, noise, n))
-    return plan
+    return plan + _run_items(run, uses, noise, n, shared)
 
 
 def _apply_step(rho: np.ndarray, plan: list, n: int) -> np.ndarray:
-    """One Trotter step on a (T, K, d, d) stack of states."""
+    """Plan items in order on a (..., d, d) stack of states."""
     for item in plan:
         if isinstance(item, np.ndarray):
             flat = rho.reshape(-1, item.shape[0])
@@ -266,6 +294,7 @@ def _density_states(
     noise,
     nuclear: str,
     times: np.ndarray,
+    shared: dict,
     prune_zeeman_zero: bool = True,
     prune_all_zero: bool = False,
 ) -> np.ndarray:
@@ -274,9 +303,11 @@ def _density_states(
     Returns a (T, d, d) stack. Each grid time t > 0 runs preparation, n
     Trotter steps of size t/n and the measurement basis change; t=0 runs
     the actual zero-time circuit gate by gate, whose canonical lowering
-    drops the zero-angle field rotations.
+    drops the zero-angle field rotations. `shared` holds angle-independent
+    work (composed constant runs, the t=0 state) for the calls that
+    share one system structure, noise, n, nuclear state and grid.
     """
-    if n < 1:
+    if n is None or n < 1:
         raise ValueError("n must be >= 1")
     n_sites = system.n_sites
     d = 2**n_sites
@@ -287,30 +318,63 @@ def _density_states(
 
     unit = lowered(1.0, 1)
     dts = times[1:] / n
-    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites, dts)
-    prep = _segment_superop(unit.gates[: unit.prep_len], noise, n_sites)
-    tail = _segment_superop(unit.gates[len(unit.gates) - unit.tail_len :], noise, n_sites)
-    rho_init = _initial_density_vec(system, nuclear)
-    v = np.broadcast_to((rho_init @ prep).reshape(d, d), (len(dts), 1, d, d))
+    T = len(dts)
+    # states through each in-step run: n steps over T times, or the d^2
+    # identity rows per time when the step is powered
+    in_step = n * T if n <= 64 else d * d * T
+    plan = _step_plan(unit.body, lowered(2.0, 1).body, noise, n_sites, dts, in_step, shared)
+    prep = _run_items(unit.gates[: unit.prep_len], 1, noise, n_sites, shared)
+    tail = _run_items(unit.gates[len(unit.gates) - unit.tail_len :], T, noise, n_sites, shared)
+    rho_init = _initial_density_vec(system, nuclear).reshape(d, d)
+    v = np.broadcast_to(_apply_step(rho_init, prep, n_sites), (T, 1, d, d))
     if n <= 64:
         for _ in range(n):
             v = _apply_step(v, plan, n_sites)
     else:
         # rows of the identity pushed through one step give S_t^T
         eye = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        step = _apply_step(np.broadcast_to(eye, (len(dts), d * d, d, d)), plan, n_sites)
-        v = v.reshape(-1, 1, d * d) @ _batched_power(step.reshape(-1, d * d, d * d), n)
+        step = _apply_step(np.broadcast_to(eye, (T, d * d, d, d)), plan, n_sites)
+        v = v.reshape(T, 1, d * d) @ _batched_power(step.reshape(T, d * d, d * d), n)
+        v = v.reshape(T, 1, d, d)
     states = np.empty((len(times), d, d), dtype=complex)
-    states[1:] = (v.reshape(-1, d * d) @ tail).reshape(-1, d, d)
+    states[1:] = _apply_step(v, tail, n_sites).reshape(T, d, d)
 
-    # zero-time circuit, executed gate by gate through the simulator
-    rho0 = QuantumState("density", rho_init.reshape(d, d), n_sites)
-    states[0] = qsim.run_density(lowered(0.0, n), rho0, noise).data
+    # zero-time circuit, executed gate by gate through the simulator; every
+    # angle is 0 there, so its lowered gates are the same for every theta
+    zero = lowered(0.0, n)
+    key = ("t=0", zero.gates)
+    if key not in shared:
+        shared[key] = qsim.run_density(zero, QuantumState("density", rho_init, n_sites), noise).data
+    states[0] = shared[key]
     # readers keep the real part of the diagonal; the rest must be rounding
     imag = float(np.abs(np.diagonal(states, axis1=1, axis2=2).imag).max())
     if imag > IMAG_TOLERANCE:
         raise FloatingPointError(f"density diagonal has imaginary part {imag:.3e}")
+    # every gate and channel preserves trace
+    trace_err = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max())
+    if trace_err > TRACE_TOLERANCE:
+        raise FloatingPointError(f"density trace is off by {trace_err:.3e}")
     return states
+
+
+def _density_trace(
+    system: RadicalPairSystem,
+    n: int,
+    noise,
+    nuclear: str,
+    times: np.ndarray,
+    shared: dict,
+    prune_zeeman_zero: bool = True,
+    prune_all_zero: bool = False,
+) -> PopulationTrace:
+    """|11> electron-readout populations of `_density_states` on `times`."""
+    states = _density_states(
+        system, n, noise, nuclear, times, shared, prune_zeeman_zero, prune_all_zero
+    )
+    d_nuc = 2**system.n_nuclei
+    diag = np.diagonal(states, axis1=1, axis2=2).real
+    pops = diag[:, 3 * d_nuc :].sum(axis=1)  # Tr[M rho], M = |11><11| x I
+    return PopulationTrace(times, pops, decayed=False)
 
 
 def trotter_trace_density(
@@ -331,13 +395,9 @@ def trotter_trace_density(
     expectation (equal to the singlet population when noise is off).
     """
     times = time_grid(t_max, dt, k=system.k_singlet, tail=tail)
-    states = _density_states(
-        system, n, noise, nuclear, times, prune_zeeman_zero, prune_all_zero
+    return _density_trace(
+        system, n, noise, nuclear, times, {}, prune_zeeman_zero, prune_all_zero
     )
-    d_nuc = 2**system.n_nuclei
-    diag = np.diagonal(states, axis1=1, axis2=2).real
-    pops = diag[:, 3 * d_nuc :].sum(axis=1)  # Tr[M rho], M = |11><11| x I
-    return PopulationTrace(times, pops, decayed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +468,20 @@ def yield_curve(
     """Singlet yield versus field angle theta.
 
     Each angle gets its own Hamiltonian, trace, and truncated yield
-    integral.
+    integral. In density mode the angles share one dict, for this call
+    only, so the constant gate runs and the t=0 state are built once.
     """
     thetas = np.asarray(thetas, dtype=float)
     k = _symmetric_rate(system)
+    shared: dict = {}
 
     def one(theta: float) -> float:
         sys_t = system.with_angles(theta)
-        trace = population_trace(sys_t, mode, n, noise, nuclear, t_max, dt, tail)
+        if mode == "density":
+            times = time_grid(t_max, dt, k=k, tail=tail)
+            trace = _density_trace(sys_t, n, noise, nuclear, times, shared)
+        else:
+            trace = population_trace(sys_t, mode, n, noise, nuclear, t_max, dt, tail)
         return yield_from_trace(trace, k)
 
     yields = np.array([one(th) for th in thetas])
@@ -516,7 +582,7 @@ def shot_sweep(
     # exact per-time final states of the full pipeline, one batched run
     states = [
         QuantumState("density", rho, sys_t.n_sites)
-        for rho in _density_states(sys_t, n, noise, nuclear, times)
+        for rho in _density_states(sys_t, n, noise, nuclear, times, {})
     ]
     # expectation of the frequency estimator, including readout flips
     transition = qsim.readout_transition_matrix(noise)

@@ -4,7 +4,7 @@ import pytest
 import rpsim as rp
 from rpsim import qsim
 from rpsim.circuit import Circuit
-from rpsim.protocols import _initial_density_vec, time_grid
+from rpsim.protocols import _initial_density_vec, time_grid, yield_from_trace
 from rpsim.refsolver import QuantumState
 
 
@@ -123,18 +123,40 @@ def test_density_fast_path_matches_per_gate(prototype):
         for prune_zeeman_zero in (False, True):
             for prune_all_zero in (False, True):
                 cases.append((prototype, theta, 0.6, 3, prune_zeeman_zero, prune_all_zero))
-    for system, theta, t, n, prune_zeeman_zero, prune_all_zero in cases:
-        sys_t = system.with_angles(theta)
-        prune = dict(prune_zeeman_zero=prune_zeeman_zero, prune_all_zero=prune_all_zero)
-        trace = rp.trotter_trace_density(sys_t, n, noise, "mixed", t_max=t, dt=t, **prune)
+
+    def per_gate(sys_t, t, n, **prune):
         low = rp.lower_to_basis(rp.compile(sys_t, t, n), **prune)
         d = 2**sys_t.n_sites
         rho0 = QuantumState(
             "density", _initial_density_vec(sys_t, "mixed").reshape(d, d), sys_t.n_sites
         )
         final = qsim.run_density(low, rho0, noise)
-        probs = qsim.electron_outcome_probabilities(final)
-        assert trace.populations[-1] == pytest.approx(probs[0b11], abs=1e-12)
+        return qsim.electron_outcome_probabilities(final)[0b11]
+
+    # one time point: every constant run is applied gate by gate
+    for system, theta, t, n, prune_zeeman_zero, prune_all_zero in cases:
+        sys_t = system.with_angles(theta)
+        prune = dict(prune_zeeman_zero=prune_zeeman_zero, prune_all_zero=prune_all_zero)
+        trace = rp.trotter_trace_density(sys_t, n, noise, "mixed", t_max=t, dt=t, **prune)
+        assert trace.populations[-1] == pytest.approx(per_gate(sys_t, t, n, **prune), abs=1e-12)
+
+    # many time points: n*T reaches d^2 (64, or 256 at 4 qubits), so the
+    # in-step runs are composed superoperators, and at 3 qubits the
+    # basis-change tail too (T >= 64); the off-diagonal tensor gives runs
+    # of equal length that must not be confused
+    off_diagonal = rp.prototype_system(
+        nuclei=(
+            (0, np.diag([5.0, 5.0, 10.0])),
+            (1, np.array([[2.5, 0.7, -0.3], [0.7, 2.5, 0.4], [-0.3, 0.4, 5.0]])),
+        )
+    )
+    for system, theta, t_max in ((prototype, 0.0, 0.8), (prototype, 1.1, 0.8),
+                                 (off_diagonal, 1.1, 0.9)):
+        sys_t = system.with_angles(theta)
+        trace = rp.trotter_trace_density(sys_t, 3, noise, "mixed", t_max=t_max, dt=0.01)
+        for i in (1, 17, 50, 80):
+            want = per_gate(sys_t, trace.times[i], 3)
+            assert trace.populations[i] == pytest.approx(want, abs=1e-12)
 
 
 def test_density_fast_path_zero_time_point(prototype):
@@ -160,6 +182,52 @@ def test_density_engine_rejects_imaginary_diagonal(prototype, monkeypatch):
     monkeypatch.setattr(qsim, "run_density", skewed)
     with pytest.raises(FloatingPointError, match="imaginary"):
         rp.trotter_trace_density(prototype, 2, None, t_max=0.2, dt=0.1)
+
+
+def test_density_engine_rejects_trace_loss(prototype, monkeypatch):
+    """A channel that does not preserve trace is an error, not a population."""
+    channel_superop = qsim._channel_superop
+    monkeypatch.setattr(
+        qsim, "_channel_superop", lambda U, p: channel_superop(U, p) * (1 + 1e-6)
+    )
+    with pytest.raises(FloatingPointError, match="trace"):
+        rp.trotter_trace_density(prototype, 2, None, t_max=0.2, dt=0.1)
+
+
+def _per_angle_yields(system, thetas, n, noise, dt):
+    k = system.k_singlet
+    return np.array([
+        yield_from_trace(
+            rp.trotter_trace_density(system.with_angles(th), n, noise, t_max=1.0, dt=dt), k
+        )
+        for th in thetas
+    ])
+
+
+def test_density_yield_curve_matches_per_angle_traces(prototype):
+    """Work shared across a curve's angles leaves every yield bit for bit
+    as the angle's own trace gives it; theta=0 lowers to fewer gates per
+    step than the other angles."""
+    noise = rp.NoiseProfile()
+    thetas = [0.0, 0.4, np.pi / 2, 2.3, np.pi]
+    curve = rp.yield_curve(prototype, thetas, mode="density", n=3, noise=noise, dt=0.01)
+    assert np.array_equal(curve.yields, _per_angle_yields(prototype, thetas, 3, noise, 0.01))
+
+    two_nuclei = rp.prototype_system(
+        nuclei=((0, np.diag([5.0, 5.0, 10.0])), (1, np.diag([2.5, 2.5, 5.0])))
+    )
+    thetas = [0.0, 1.1, np.pi]
+    curve = rp.yield_curve(two_nuclei, thetas, mode="density", n=2, noise=noise, dt=0.1)
+    assert np.array_equal(curve.yields, _per_angle_yields(two_nuclei, thetas, 2, noise, 0.1))
+
+
+def test_density_yield_curves_share_nothing_between_calls(prototype):
+    """Consecutive curves with different noise each match their own traces."""
+    thetas = [0.0, 1.1, np.pi]
+    for noise in (rp.NoiseProfile(), rp.NoiseProfile(p_depol_1q=2e-3, p_depol_2q=3e-2)):
+        curve = rp.yield_curve(prototype, thetas, mode="density", n=3, noise=noise, dt=0.05)
+        want = _per_angle_yields(prototype, thetas, 3, noise, 0.05)
+        assert np.array_equal(curve.yields, want)
 
 
 def test_density_noiseless_equals_statevector_mixed(prototype):
