@@ -33,8 +33,17 @@ to every angle, for that call only: the composed runs (keyed by their
 gates) and the t=0 state (keyed by the zero-time circuit, the same at
 every angle) are built once per curve. Density traces and `shot_sweep`
 read their per-time states from this core; a state whose trace is off
-by more than 1e-10 is an error.
+by more than 1e-10, or whose diagonal leaves [0, 1] by more than 1e-10,
+is an error.
 Both paths are pinned to the per-gate simulators by equivalence tests.
+A reference `yield_curve` builds the Hamiltonians of all its angles as
+one (A, d, d) stack: each term's signed permutation is mapped once per
+call and every angle's coefficients are scattered in term order, so
+each H equals `to_dense_matrix` bit for bit. The initial state and the
+singlet projector are built once; `refsolver._population_rows`
+diagonalises the stack in one `eigh` and yields one angle's populations
+at a time, which the curve reduces to a yield as it arrives.
+`reference_trace` is the one-angle case of the same builder.
 """
 
 from __future__ import annotations
@@ -50,14 +59,16 @@ from .observables import YieldCurve, singlet_yield
 from .paulis import PAULI, signed_permutation
 from .refsolver import (
     IMAG_TOLERANCE,
+    POPULATION_TOLERANCE,
     PopulationTrace,
     QuantumState,
+    _population_rows,
     apply_decay,
     evolve_exact,
     initial_state,
     singlet_vector,
 )
-from .spinham import RadicalPairSystem, build_pauli_terms, to_dense_matrix
+from .spinham import RadicalPairSystem, build_pauli_terms
 
 TAIL_EPSILON = 1e-6  # survival threshold for tail="extend"
 TRACE_TOLERANCE = 1e-10  # max |Tr rho - 1| of a noisy density state
@@ -91,6 +102,30 @@ def time_grid(t_max: float, dt: float, k: float | None = None, tail: str = "none
 # ---------------------------------------------------------------------------
 # reference (exact) traces
 
+def _reference_problem(
+    system: RadicalPairSystem, thetas, nuclear: str
+) -> tuple[np.ndarray, QuantumState]:
+    """(A, d, d) Hamiltonians at each field angle, and the initial state.
+
+    The term letters do not depend on the angle, so each is mapped to its
+    signed permutation once; every angle's coefficients are scattered in
+    term order, exactly as `to_dense_matrix` does for one system.
+    """
+    n_sites = system.n_sites
+    d = 2**n_sites
+    structure = [signed_permutation(t.letters) for t in build_pauli_terms(system)]
+    coeffs = np.array(
+        [[t.coefficient for t in build_pauli_terms(system.with_angles(th))] for th in thetas]
+    ).reshape(-1, len(structure))
+    rows = np.arange(d)
+    H = np.zeros((len(coeffs), d, d), dtype=complex)
+    for (perm, phase), c in zip(structure, coeffs.T):
+        nonzero = np.flatnonzero(c)  # a zero term adds nothing, as in to_dense_matrix
+        H[nonzero[:, None], rows, perm] += c[nonzero, None] * phase
+    kind = "density" if nuclear == "mixed" else "pure"
+    return H, initial_state(nuclear, n_sites, kind=kind)
+
+
 def reference_trace(
     system: RadicalPairSystem,
     nuclear: str = "mixed",
@@ -100,10 +135,8 @@ def reference_trace(
 ) -> PopulationTrace:
     """Undecayed singlet populations from the eigendecomposition solver."""
     times = time_grid(t_max, dt, k=system.k_singlet, tail=tail)
-    H = to_dense_matrix(build_pauli_terms(system), system.n_sites)
-    kind = "density" if nuclear == "mixed" else "pure"
-    state0 = initial_state(nuclear, system.n_sites, kind=kind)
-    return evolve_exact(H, state0, times, hbar=system.hbar)
+    H, state0 = _reference_problem(system, [system.theta], nuclear)
+    return evolve_exact(H[0], state0, times, hbar=system.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +380,18 @@ def _density_states(
         shared[key] = qsim.run_density(zero, QuantumState("density", rho_init, n_sites), noise).data
     states[0] = shared[key]
     # readers keep the real part of the diagonal; the rest must be rounding
-    imag = float(np.abs(np.diagonal(states, axis1=1, axis2=2).imag).max())
+    diag = np.diagonal(states, axis1=1, axis2=2)
+    imag = float(np.abs(diag.imag).max())
     if imag > IMAG_TOLERANCE:
         raise FloatingPointError(f"density diagonal has imaginary part {imag:.3e}")
     # every gate and channel preserves trace
     trace_err = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max())
     if trace_err > TRACE_TOLERANCE:
         raise FloatingPointError(f"density trace is off by {trace_err:.3e}")
+    # each diagonal entry is a basis-state probability
+    low, high = float(diag.real.min()), float(diag.real.max())
+    if low < -POPULATION_TOLERANCE or high > 1.0 + POPULATION_TOLERANCE:
+        raise FloatingPointError(f"density diagonal range [{low:.3e}, {high:.3e}] leaves [0, 1]")
     return states
 
 
@@ -468,23 +506,30 @@ def yield_curve(
     """Singlet yield versus field angle theta.
 
     Each angle gets its own Hamiltonian, trace, and truncated yield
-    integral. In density mode the angles share one dict, for this call
+    integral. In reference mode the Hamiltonians form one stack that is
+    diagonalised at once, and each angle's row is reduced to its yield as
+    it arrives. In density mode the angles share one dict, for this call
     only, so the constant gate runs and the t=0 state are built once.
     """
     thetas = np.asarray(thetas, dtype=float)
     k = _symmetric_rate(system)
-    shared: dict = {}
-
-    def one(theta: float) -> float:
-        sys_t = system.with_angles(theta)
-        if mode == "density":
-            times = time_grid(t_max, dt, k=k, tail=tail)
-            trace = _density_trace(sys_t, n, noise, nuclear, times, shared)
-        else:
-            trace = population_trace(sys_t, mode, n, noise, nuclear, t_max, dt, tail)
-        return yield_from_trace(trace, k)
-
-    yields = np.array([one(th) for th in thetas])
+    times = time_grid(t_max, dt, k=k, tail=tail)
+    if mode == "reference":
+        H, state0 = _reference_problem(system, thetas, nuclear)
+        rows = _population_rows(H, state0, times, system.hbar)
+        traces = (PopulationTrace(times, pops) for pops in rows)
+    elif mode == "density":
+        shared: dict = {}
+        traces = (
+            _density_trace(system.with_angles(th), n, noise, nuclear, times, shared)
+            for th in thetas
+        )
+    else:
+        traces = (
+            population_trace(system.with_angles(th), mode, n, noise, nuclear, t_max, dt, tail)
+            for th in thetas
+        )
+    yields = np.array([yield_from_trace(trace, k) for trace in traces])
     meta = {
         "mode": mode,
         "n": n,

@@ -5,13 +5,22 @@ Two routes to the same physics, used to cross-check each other:
   * evolve_exact: one eigendecomposition of H, populations at all times
     from phase factors, then apply_decay multiplies on exp(-k t). Valid
     because with equal singlet/triplet rates the kinetics factorize out
-    of the unitary dynamics.
+    of the unitary dynamics. It is the one-matrix case of
+    `_population_rows`, which takes an (A, d, d) stack of Hamiltonians
+    (one per field angle of a yield curve) through one stacked `eigh`,
+    rotates rho0 and P_S into every eigenbasis by batched matmuls, and
+    forms W = rho_e * P_e^T. With phases phi_a(t) = exp(-i omega_a t),
+    the populations are Tr[P_S rho(t)] = sum_ab phi_a W_ab conj(phi_b),
+    one BLAS matmul per angle. A pure state enters as its rank-1
+    density matrix, so pure and mixed states share this one formula.
+    Rows are handed out one angle at a time; no (A, T) array is built.
   * rk4_haberkorn: direct fixed-step integration of the master equation
     drho/dt = -(i/hbar)[H, rho] - sum_n (k_n/2){P_n, rho}.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +29,7 @@ from .spinham import HBAR_NEV_US
 
 _HERM_TOL = 1e-10
 IMAG_TOLERANCE = 1e-10  # largest imaginary part a population may carry
+POPULATION_TOLERANCE = 1e-10  # how far a population may stray outside [0, 1]
 
 
 @dataclass(frozen=True)
@@ -178,9 +188,46 @@ def initial_state(nuclear_config: str, n_sites: int, kind: str | None = None) ->
 # evolution
 
 def _check_hermitian(H: np.ndarray):
-    scale = max(np.abs(H).max(), 1.0)
-    if np.abs(H - H.conj().T).max() > _HERM_TOL * scale:
+    """Raise unless every matrix of a (..., d, d) stack is Hermitian."""
+    scale = np.maximum(np.abs(H).max(axis=(-2, -1)), 1.0)
+    err = np.abs(H - H.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    if np.any(err > _HERM_TOL * scale):
         raise ValueError("Hamiltonian is not Hermitian")
+
+
+def _population_rows(
+    H: np.ndarray, state0: QuantumState, times: np.ndarray, hbar: float
+) -> Iterator[np.ndarray]:
+    """Singlet populations for each H of an (A, d, d) stack, one row per H.
+
+    The stack is checked and diagonalised here, in one `eigh`; the rows
+    come from the returned generator one at a time, so no (A, T) array
+    is ever held.
+    """
+    H = np.asarray(H, dtype=complex)
+    _check_hermitian(H)
+    evals, evecs = np.linalg.eigh(H)
+    omega = evals / hbar  # rad/us
+    evecs_h = evecs.conj().swapaxes(-2, -1)
+    rho_e = evecs_h @ state0.as_density_matrix() @ evecs
+    proj_e = evecs_h @ singlet_projector(state0.n_sites) @ evecs
+    # Tr[P_S rho(t)] = sum_ab phi_a W_ab conj(phi_b) with phi = exp(-i omega t)
+    weights = rho_e * proj_e.swapaxes(-2, -1)
+    return (_populations(times, w, om) for w, om in zip(weights, omega))
+
+
+def _populations(times: np.ndarray, weights: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Real populations of one eigenbasis weight matrix, checked."""
+    phases = np.exp(-1j * np.outer(times, omega))  # (T, d)
+    pops = ((phases @ weights) * phases.conj()).sum(axis=1)
+    # a population is real; a larger imaginary part means a non-Hermitian state
+    imag = float(np.abs(pops.imag).max())
+    if imag > IMAG_TOLERANCE:
+        raise FloatingPointError(f"population has imaginary part {imag:.3e}")
+    low, high = float(pops.real.min()), float(pops.real.max())
+    if low < -POPULATION_TOLERANCE or high > 1.0 + POPULATION_TOLERANCE:
+        raise FloatingPointError(f"population range [{low:.3e}, {high:.3e}] leaves [0, 1]")
+    return pops.real
 
 
 def evolve_exact(
@@ -194,26 +241,9 @@ def evolve_exact(
     H is in energy units (neV); U(t) = exp(-i H t / hbar). One
     eigendecomposition is reused for every time point.
     """
-    H = np.asarray(H, dtype=complex)
-    _check_hermitian(H)
     times = np.asarray(times, dtype=float)
-    evals, evecs = np.linalg.eigh(H)
-    omega = evals / hbar  # rad/us
-    proj = singlet_projector(state0.n_sites)
-    proj_e = evecs.conj().T @ proj @ evecs
-    phases = np.exp(-1j * np.outer(times, omega))  # (T, d)
-    if state0.kind == "pure":
-        amp0 = evecs.conj().T @ state0.data
-        coeff = phases * amp0  # (T, d)
-        pops = np.einsum("ta,ab,tb->t", coeff.conj(), proj_e, coeff)
-    else:
-        rho_e = evecs.conj().T @ state0.data @ evecs
-        pops = np.einsum("ab,ta,tb,ba->t", rho_e, phases, phases.conj(), proj_e)
-    # a population is real; a larger imaginary part means a non-Hermitian state
-    imag = float(np.abs(pops.imag).max())
-    if imag > IMAG_TOLERANCE:
-        raise FloatingPointError(f"population has imaginary part {imag:.3e}")
-    return PopulationTrace(times, pops.real, decayed=False)
+    (pops,) = _population_rows(np.asarray(H)[None], state0, times, hbar)
+    return PopulationTrace(times, pops, decayed=False)
 
 
 def apply_decay(trace: PopulationTrace, k: float) -> PopulationTrace:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import rpsim as rp
@@ -214,6 +215,23 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     run(args, capsys)
     assert (tmp_path / "yield_sweep.csv").read_bytes() == first_csv
     assert (tmp_path / "yield_sweep.meta.json").read_bytes() == first_meta
+
+
+def test_reference_csv_bytes_are_frozen(tmp_path, capsys):
+    """The reference engine's CSV bytes at default settings, pinned by hash:
+    an engine rewrite must leave every 9-digit value unchanged."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta_grid": {"values": np.linspace(0.0, np.pi, 16).tolist()}}))
+    code, _, _ = run(["yield-sweep", "--config", str(cfg), "--output", str(tmp_path)], capsys)
+    assert code == 0
+    code, _, _ = run(["population", "--output", str(tmp_path), "--set", "nuclear=down"], capsys)
+    assert code == 0
+    frozen = {
+        "yield_sweep.csv": "d940e54dedfd1afd0502337c8496cf2fcb01bc1e202311db2fa7ccefaad451d9",
+        "population.csv": "fd6ab63768845a0031547825cd7f30c0e9c75816b7996466495e7ab0e52b5408",
+    }
+    for name, digest in frozen.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_config_file_flow(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rpsim as rp
-from rpsim import qsim
+from rpsim import protocols, qsim
 from rpsim.circuit import Circuit
 from rpsim.protocols import _initial_density_vec, time_grid, yield_from_trace
 from rpsim.refsolver import QuantumState
+from rpsim.spinham import build_pauli_terms, to_dense_matrix
 
 
 def test_time_grid_basic():
@@ -192,6 +195,65 @@ def test_density_engine_rejects_trace_loss(prototype, monkeypatch):
     )
     with pytest.raises(FloatingPointError, match="trace"):
         rp.trotter_trace_density(prototype, 2, None, t_max=0.2, dt=0.1)
+
+
+def test_density_engine_rejects_population_out_of_range(prototype, monkeypatch):
+    """A trace-1 state with a negative diagonal entry is an error, even
+    though the trace check cannot see it."""
+    electrons = np.zeros((4, 4), dtype=complex)
+    electrons[0, 0] = 1.0
+    nucleus = np.diag([1.5, -0.5]).astype(complex)
+    monkeypatch.setattr(
+        protocols, "_initial_density_vec",
+        lambda system, nuclear: np.kron(electrons, nucleus).reshape(-1),
+    )
+    with pytest.raises(FloatingPointError, match=r"leaves \[0, 1\]"):
+        rp.trotter_trace_density(prototype, 2, None, t_max=0.2, dt=0.1)
+
+
+def test_reference_yield_curve_matches_per_angle_yields():
+    """The stacked reference curve gives each angle's yield bit for bit as
+    the angle's own trace does, for pure and mixed nuclei."""
+    thetas = [0.0, 0.4, np.pi / 2, 2.3, np.pi]
+    two_nuclei = rp.prototype_system(
+        g_factors=(2.0, 2.003),
+        nuclei=((0, np.diag([5.0, 5.0, 10.0])), (1, np.diag([2.5, 2.5, 5.0]))),
+    )
+    for system in (rp.prototype_system(), two_nuclei):
+        for nuclear in ("mixed", "up", "down"):
+            curve = rp.yield_curve(system, thetas, nuclear=nuclear, dt=0.01)
+            want = [
+                rp.singlet_yield_at(system.with_angles(th), "reference", nuclear=nuclear, dt=0.01)
+                for th in thetas
+            ]
+            assert np.array_equal(curve.yields, want)
+
+
+def test_reference_hamiltonian_stack_matches_dense_matrix():
+    """Every H of the curve's stack is the one to_dense_matrix builds."""
+    system = rp.prototype_system(
+        g_factors=(2.0, 2.003),
+        nuclei=((0, np.array([[5.0, 1.2, -0.4], [1.2, 5.5, 0.3], [-0.4, 0.3, 10.0]])),),
+    )
+    thetas = np.linspace(0.0, np.pi, 9)
+    H, _ = protocols._reference_problem(system, thetas, "mixed")
+    for h, th in zip(H, thetas):
+        terms = build_pauli_terms(system.with_angles(th))
+        assert np.array_equal(h, to_dense_matrix(terms, system.n_sites))
+
+
+def test_reference_yield_curve_memory():
+    """A 128-angle curve streams its rows: no (angles, times) array is
+    held, so the traced peak stays near one angle's working set."""
+    system = rp.prototype_system()
+    thetas = np.linspace(0.0, np.pi, 128)
+    tracemalloc.start()
+    try:
+        rp.yield_curve(system, thetas, dt=0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def _per_angle_yields(system, thetas, n, noise, dt):

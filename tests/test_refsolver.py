@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import rpsim as rp
-from rpsim.refsolver import PopulationTrace, QuantumState
+from rpsim.protocols import _reference_problem
+from rpsim.refsolver import PopulationTrace, QuantumState, _population_rows
 from rpsim.spinham import build_pauli_terms, to_dense_matrix
 
 from util import dense_hamiltonian_oracle
@@ -173,3 +174,43 @@ def test_population_conservation(prototype):
     t_pops = np.einsum("ta,ab,tb,ba->t", phases, a, phases.conj(), PT).real
     total = s_trace.populations + t_pops * np.exp(-K * times)
     assert np.max(np.abs(total - np.exp(-K * times))) <= 1e-10
+
+
+def test_evolve_exact_rejects_population_out_of_range(prototype):
+    """A state whose singlet population exceeds 1 is an error, not a value."""
+    H = _hamiltonian(prototype)
+    rho = rp.singlet_projector(3)  # Hermitian with real populations, but trace 2
+    with pytest.raises(FloatingPointError, match=r"leaves \[0, 1\]"):
+        rp.evolve_exact(H, QuantumState("density", rho, 3), np.array([0.0, 0.1]))
+
+
+def test_population_rows_reject_one_nonhermitian_matrix(prototype):
+    """One bad matrix in the stack fails the whole stack, before any row."""
+    H = np.stack([_hamiltonian(prototype.with_angles(th)) for th in (0.0, 1.0, 2.0)])
+    H[1, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        _population_rows(H, rp.initial_state("up", 3), np.array([0.0, 0.1]), rp.HBAR_NEV_US)
+
+
+def test_stacked_reference_matches_expm_two_nuclei():
+    """Off-diagonal tensor and unequal g-factors, three angles in one stack,
+    against exp(-iHt/hbar) built from the independent dense oracle."""
+    system = rp.prototype_system(
+        g_factors=(2.0, 2.003),
+        nuclei=(
+            (0, np.array([[5.0, 1.2, -0.4], [1.2, 5.5, 0.3], [-0.4, 0.3, 10.0]])),
+            (1, np.diag([2.5, 2.5, 5.0])),
+        ),
+    )
+    thetas = [0.0, 1.1, np.pi]
+    times = np.arange(6) * 0.07
+    PS = rp.singlet_projector(4)
+    for nuclear in ("mixed", "up", "down"):
+        H, state0 = _reference_problem(system, thetas, nuclear)
+        rows = _population_rows(H, state0, times, system.hbar)
+        rho = state0.as_density_matrix()
+        for th, pops in zip(thetas, rows, strict=True):
+            oracle = dense_hamiltonian_oracle(system.with_angles(th))
+            for t, pop in zip(times, pops):
+                U = expm(-1j * oracle * t / system.hbar)
+                assert pop == pytest.approx(np.trace(PS @ U @ rho @ U.conj().T).real, abs=1e-12)
